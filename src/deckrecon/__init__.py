@@ -4,10 +4,7 @@ from .canon import (
     CapabilityError,
     automorphism_orbits,
     canonical_form,
-    canonical_graph,
     canonical_labeling,
-    count_induced_copies,
-    find_isomorphism,
     has_induced_subgraph,
     is_isomorphic,
     orbit_index,
@@ -19,12 +16,10 @@ from .deck import (
     card_graphs,
     deck_equal,
     edge_count_from_deck,
-    filter_by_skeleton,
     load_deck,
     make_deck,
     parse_deck_text,
     save_deck,
-    subtract_attributable,
 )
 from .graphs import (
     Graph,

@@ -10,8 +10,9 @@ vertices, which is all the desk-scale procedures need.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph, bits_to_graph6, from_graph6
+from .graphs import Graph, bits_to_graph6
 
 ORBIT_VERTEX_LIMIT = 12
 
@@ -57,6 +58,25 @@ def _leaf_bits(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
         for i in range(j):
             bits.append(col >> order[i] & 1)
     return tuple(bits)
+
+
+def _orbit_finder(n: int, auts: Iterable[tuple[int, ...]]) -> Callable[[int], int]:
+    """Root lookup in the orbit partition the given automorphisms generate
+    (union-find with path halving)."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in auts:
+        for x in range(n):
+            rx, ry = find(x), find(a[x])
+            if rx != ry:
+                parent[rx] = ry
+    return find
 
 
 def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
@@ -114,20 +134,9 @@ def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
             if tried:
                 # Skip branches mapped to an explored one by a known
                 # automorphism fixing the individualised prefix pointwise.
-                parent = list(range(n))
-
-                def find(x: int) -> int:
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                for a in auts:
-                    if all(a[x] == x for x in fixed):
-                        for x in range(n):
-                            rx, ry = find(x), find(a[x])
-                            if rx != ry:
-                                parent[rx] = ry
+                find = _orbit_finder(
+                    n, (a for a in auts if all(a[x] == x for x in fixed))
+                )
                 rv = find(v)
                 if any(find(u) == rv for u in tried):
                     continue
@@ -163,10 +172,6 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
     return tuple(lab)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return from_graph6(canonical_form(g))
-
-
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
@@ -182,19 +187,7 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
     if g.n <= 1:
         return [tuple(range(g.n))] if g.n else []
     _, _, auts = _search(g.n, g.adj, [list(range(g.n))])
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in auts:
-        for x in range(g.n):
-            rx, ry = find(x), find(a[x])
-            if rx != ry:
-                parent[rx] = ry
+    find = _orbit_finder(g.n, auts)
     classes: dict[int, list[int]] = {}
     for v in range(g.n):
         classes.setdefault(find(v), []).append(v)
@@ -205,40 +198,18 @@ def orbit_index(orbits: list[tuple[int, ...]]) -> dict[int, int]:
     return {v: i for i, orb in enumerate(orbits) for v in orb}
 
 
+def _induced_copies(g: Graph, h: Graph) -> Iterator[tuple[tuple[int, ...], Graph]]:
+    """(xs, subgraph) for each vertex subset xs of g inducing a copy of h."""
+    target = canonical_form(h)
+    he = h.edge_count()
+    for xs in combinations(range(g.n), h.n):
+        sub = g.induced_subgraph(xs)
+        if sub.edge_count() == he and canonical_form(sub) == target:
+            yield xs, sub
+
+
 def has_induced_subgraph(g: Graph, h: Graph) -> bool:
     """True iff some vertex subset of g induces a graph isomorphic to h."""
     if h.n > g.n:
         raise ValueError("pattern larger than host")
-    target = canonical_form(h)
-    he = h.edge_count()
-    for xs in combinations(range(g.n), h.n):
-        sub = g.induced_subgraph(xs)
-        if sub.edge_count() == he and canonical_form(sub) == target:
-            return True
-    return False
-
-
-def count_induced_copies(g: Graph, h: Graph) -> int:
-    """Number of vertex subsets of g inducing a graph isomorphic to h."""
-    if h.n > g.n:
-        raise ValueError("pattern larger than host")
-    target = canonical_form(h)
-    he = h.edge_count()
-    count = 0
-    for xs in combinations(range(g.n), h.n):
-        sub = g.induced_subgraph(xs)
-        if sub.edge_count() == he and canonical_form(sub) == target:
-            count += 1
-    return count
-
-
-def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """Some isomorphism g -> h as a vertex map, or None."""
-    if not is_isomorphic(g, h):
-        return None
-    lg = canonical_labeling(g)
-    lh = canonical_labeling(h)
-    inv_h = [0] * h.n
-    for v, pos in enumerate(lh):
-        inv_h[pos] = v
-    return tuple(inv_h[lg[v]] for v in range(g.n))
+    return next(_induced_copies(g, h), None) is not None

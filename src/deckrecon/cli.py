@@ -29,7 +29,7 @@ def _read_graph(text: str) -> Graph:
             raw = Path(text[1:]).read_text()
         except OSError as exc:
             raise InputError(f"cannot read {text[1:]!r}: {exc}") from exc
-        lines = [ln.strip() for ln in raw.splitlines() if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, raw.splitlines()) if ln and not ln.startswith("#")]
         if len(lines) != 1:
             raise InputError("graph file must contain exactly one graph6 line")
         text = lines[0]

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .canon import canonical_form
 from .graphs import Graph, from_graph6
@@ -71,31 +69,6 @@ def edge_count_from_deck(d: Deck) -> int:
 def skeleton_code(code: str) -> str:
     """Canonical code of the skeleton of the graph a card encodes."""
     return canonical_form(skeleton(from_graph6(code)))
-
-
-def filter_by_skeleton(d: Deck, k: Graph) -> tuple[str, ...]:
-    """The sub-multiset of cards whose skeleton is isomorphic to k."""
-    target = canonical_form(k)
-    cache: dict[str, str] = {}
-    out = []
-    for code in d.cards:
-        if code not in cache:
-            cache[code] = skeleton_code(code)
-        if cache[code] == target:
-            out.append(code)
-    return tuple(out)
-
-
-def subtract_attributable(
-    pool: Iterable[str], attributed: Iterable[str]
-) -> tuple[str, ...]:
-    """Multiset difference pool - attributed; attributed must be contained in pool."""
-    remaining = Counter(pool)
-    for code in attributed:
-        if remaining[code] <= 0:
-            raise DeckIntegrityError(f"attributed card {code!r} missing from pool")
-        remaining[code] -= 1
-    return tuple(sorted(remaining.elements()))
 
 
 # -- deck files: one graph6 card per line, '#' comments, blank lines ignored --

@@ -209,7 +209,10 @@ def inflate(k: Graph, parts: list[Graph] | tuple[Graph, ...]) -> Graph:
 
 def skeleton(g: Graph) -> Graph:
     """The unique indecomposable quotient: g itself, K2/its complement, or the prime skeleton."""
-    dec = decompose(g)
+    return _skeleton_of(g, decompose(g))
+
+
+def _skeleton_of(g: Graph, dec: ModularDecomposition) -> Graph:
     if dec.kind is Kind.INDECOMPOSABLE:
         return g
     if dec.kind is Kind.PARALLEL:

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .canon import (
     CapabilityError,
+    _induced_copies,
     automorphism_orbits,
     canonical_form,
     canonical_labeling,
@@ -29,17 +32,17 @@ from .deck import (
     deck_equal,
     edge_count_from_deck,
     make_deck,
-    skeleton_code,
 )
 from .graphs import Graph, _bits, disjoint_union, empty_graph, from_graph6
 from .modular import (
     Kind,
+    ModularDecomposition,
+    _skeleton_of,
     decompose,
     inflate,
     is_critically_indecomposable,
     is_indecomposable,
     maximal_proper_module_masks,
-    skeleton,
 )
 
 FAMILY_TEST_LIMIT = 10
@@ -76,34 +79,65 @@ class ReconstructionResult:
         return self.status == "reconstructed"
 
 
+# -- the card table: each distinct card decoded and decomposed once ------------
+
+
+class _Card(NamedTuple):
+    graph: Graph
+    dec: ModularDecomposition
+    skeleton: Graph
+    skeleton_code: str
+
+
+class _CardTable:
+    """What reconstruction reads off the cards of one deck."""
+
+    def __init__(self, d: Deck) -> None:
+        self.deck = d
+        self.by_code: dict[str, _Card] = {}
+        for code in dict.fromkeys(d.cards):
+            g = from_graph6(code)
+            dec = decompose(g)
+            k = _skeleton_of(g, dec)
+            self.by_code[code] = _Card(g, dec, k, canonical_form(k))
+
+    def split(self, k: Graph) -> tuple[list[str], list[str]]:
+        """Cards whose skeleton matches k, and the rest, in deck order."""
+        target = canonical_form(k)
+        dk: list[str] = []
+        non: list[str] = []
+        for code in self.deck.cards:
+            (dk if self.by_code[code].skeleton_code == target else non).append(code)
+        return dk, non
+
+    def prime(self, code: str) -> ModularDecomposition:
+        dec = self.by_code[code].dec
+        if dec.kind is not Kind.PRIME:
+            raise DeckIntegrityError("card expected to carry a prime decomposition")
+        return dec
+
+
+@lru_cache(maxsize=1)
+def _cards(d: Deck) -> _CardTable:
+    """The card table of d; only the most recent deck's table is kept."""
+    return _CardTable(d)
+
+
 # -- deck-level skeleton and singleton statistics -----------------------------
-
-
-def _dk_split(d: Deck, k: Graph) -> tuple[list[str], list[str]]:
-    """Cards whose skeleton matches k, and the rest."""
-    target = canonical_form(k)
-    cache: dict[str, str] = {}
-    dk: list[str] = []
-    non: list[str] = []
-    for code in d.cards:
-        if code not in cache:
-            cache[code] = skeleton_code(code)
-        (dk if cache[code] == target else non).append(code)
-    return dk, non
 
 
 def skeleton_from_deck(d: Deck) -> Graph:
     """The unique largest card skeleton on >= 4 vertices."""
     top_n = 0
     top_codes: set[str] = set()
-    for code in set(d.cards):
-        k = skeleton(from_graph6(code))
+    for card in _cards(d).by_code.values():
+        k = card.skeleton
         if k.n < 4:
             continue
         if k.n > top_n:
-            top_n, top_codes = k.n, {canonical_form(k)}
+            top_n, top_codes = k.n, {card.skeleton_code}
         elif k.n == top_n:
-            top_codes.add(canonical_form(k))
+            top_codes.add(card.skeleton_code)
     if not top_codes:
         raise DeckIntegrityError("no card has a skeleton on four or more vertices")
     if len(top_codes) > 1:
@@ -113,21 +147,11 @@ def skeleton_from_deck(d: Deck) -> Graph:
 
 def singleton_count(d: Deck, k: Graph) -> int:
     """Number of cards whose skeleton differs from k (= singleton intervals)."""
-    _, non = _dk_split(d, k)
+    _, non = _cards(d).split(k)
     s = len(non)
     if s > k.n:
         raise DeckIntegrityError("more skeleton-changing cards than skeleton vertices")
     return s
-
-
-def _prime_decomposition(card: Graph, expect_code: str | None = None):
-    dec = decompose(card)
-    if dec.kind is not Kind.PRIME:
-        raise DeckIntegrityError("card expected to carry a prime decomposition")
-    assert dec.skeleton is not None and dec.intervals is not None
-    if expect_code is not None and canonical_form(dec.skeleton) != expect_code:
-        raise DeckIntegrityError("card skeleton differs from the recovered skeleton")
-    return dec
 
 
 def _position_map(k: Graph) -> list[int]:
@@ -137,6 +161,41 @@ def _position_map(k: Graph) -> list[int]:
     for v, pos in enumerate(lab):
         inv[pos] = v
     return inv
+
+
+def _largest_first(
+    pool: Counter[tuple[int, str]],
+    total: int,
+    keys_of: Callable[[int, Graph], list[tuple[int, str]]],
+    what: str,
+) -> list[tuple[int, Graph]]:
+    """Kelly-style attribution of a pool of tagged graph codes.
+
+    A largest pooled part on p vertices of a total-vertex graph survives in
+    exactly total - p cards, so its pooled count divided by total - p is its
+    multiplicity. Its one-vertex-deleted subgraphs, turned into pool keys by
+    keys_of(tag, subgraph), are subtracted, and the next largest is taken.
+    Returns the recovered (tag, part) pairs sorted by (tag, code).
+    """
+    decode = lru_cache(maxsize=None)(from_graph6)
+    recovered: Counter[tuple[int, str]] = Counter()
+    while pool:
+        key = max(pool, key=lambda item: (decode(item[1]).n, item))
+        part = decode(key[1])
+        denom = total - part.n
+        count = pool.pop(key)
+        if denom <= 0 or count % denom:
+            raise DeckIntegrityError(f"{what} attribution failed")
+        cnt = count // denom
+        recovered[key] += cnt
+        for v in range(part.n):
+            for sub_key in keys_of(key[0], part.delete_vertex(v)):
+                pool[sub_key] -= cnt
+                if pool[sub_key] < 0:
+                    raise DeckIntegrityError(f"{what} attribution failed")
+                if pool[sub_key] == 0:
+                    del pool[sub_key]
+    return [(t, decode(code)) for (t, code), q in sorted(recovered.items()) for _ in range(q)]
 
 
 # -- interval recovery: at least two non-singleton maximal intervals ----------
@@ -149,8 +208,8 @@ def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
     repeatedly take a largest interval in the pooled list, divide out its
     expected multiplicity, and subtract its own deck.
     """
-    ck = canonical_form(k)
-    dk, non = _dk_split(d, k)
+    cards = _cards(d)
+    dk, non = cards.split(k)
     s = len(non)
     m = k.n - s
     if m < 2:
@@ -159,47 +218,19 @@ def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
     inv_k = _position_map(k)
     pool: Counter[tuple[int, str]] = Counter()
     for code in dk:
-        dec = _prime_decomposition(from_graph6(code), ck)
+        dec = cards.prime(code)
         labs = canonical_labeling(dec.skeleton)
         for pos, part in dec.intervals:
             if part.n >= 2:
                 pool[(oix[inv_k[labs[pos]]], canonical_form(part))] += 1
-    orders: dict[str, int] = {}
-
-    def order_of(code: str) -> int:
-        if code not in orders:
-            orders[code] = from_graph6(code).n
-        return orders[code]
-
-    recovered: Counter[tuple[int, str]] = Counter()
-    while pool:
-        t, code = max(pool, key=lambda key: (order_of(key[1]), key))
-        size = order_of(code)
-        denom = d.n - s - size
-        count = pool.pop((t, code))
-        if denom <= 0 or count % denom:
-            raise DeckIntegrityError("interval attribution counts are inconsistent")
-        cnt = count // denom
-        recovered[(t, code)] += cnt
-        part = from_graph6(code)
-        for v in range(part.n):
-            sub = part.delete_vertex(v)
-            if sub.n < 2:
-                continue
-            key = (t, canonical_form(sub))
-            pool[key] -= cnt
-            if pool[key] < 0:
-                raise DeckIntegrityError("interval attribution subtracted a missing card")
-            if pool[key] == 0:
-                del pool[key]
-    if sum(recovered.values()) != m or sum(
-        order_of(code) * q for (_, code), q in recovered.items()
-    ) != d.n - s:
+    out = _largest_first(pool, d.n - s, _interval_keys, "interval")
+    if len(out) != m or sum(p.n for _, p in out) != d.n - s:
         raise DeckIntegrityError("recovered intervals do not account for the deck")
-    out: list[tuple[int, Graph]] = []
-    for (t, code), q in sorted(recovered.items()):
-        out.extend([(t, from_graph6(code))] * q)
     return out
+
+
+def _interval_keys(t: int, sub: Graph) -> list[tuple[int, str]]:
+    return [(t, canonical_form(sub))] if sub.n >= 2 else []
 
 
 # -- interval recovery: a single non-singleton interval of size >= 3 ----------
@@ -212,9 +243,8 @@ def _lone_nonsingleton(dec) -> tuple[int, Graph] | None:
     return nons[0]
 
 
-def _splice_unique(card: Graph, part: Graph, expect_code: str | None = None) -> Graph:
-    """Replace the unique non-singleton maximal interval of card by part."""
-    dec = _prime_decomposition(card, expect_code)
+def _splice_unique(dec: ModularDecomposition, part: Graph) -> Graph:
+    """Replace the unique non-singleton maximal interval of a card by part."""
     lone = _lone_nonsingleton(dec)
     if lone is None:
         raise DeckIntegrityError("card does not carry a unique non-singleton interval")
@@ -249,10 +279,12 @@ def _degenerate_card_interval(dec, k: Graph, size: int) -> Graph | None:
     return lone[1]
 
 
-def _single_large_candidates(k: Graph, non: list[str], size: int) -> list[Graph]:
+def _single_large_candidates(
+    cards: _CardTable, k: Graph, non: list[str], size: int
+) -> list[Graph]:
     out: list[Graph] = []
     for code in sorted(set(non)):
-        dec = decompose(from_graph6(code))
+        dec = cards.by_code[code].dec
         if dec.kind is Kind.PRIME:
             nons = [p for _, p in dec.intervals if p.n >= 2]
             if dec.skeleton.n == k.n - 1:
@@ -274,16 +306,15 @@ def _single_large_candidates(k: Graph, non: list[str], size: int) -> list[Graph]
 
 def interval_single_large(d: Deck, k: Graph) -> Graph:
     """Recover the unique non-singleton maximal interval when it has >= 3 vertices."""
-    ck = canonical_form(k)
-    dk, non = _dk_split(d, k)
+    cards = _cards(d)
+    dk, non = cards.split(k)
     s = len(non)
     size = d.n - s
     if k.n - s != 1 or size < 3:
         raise ValueError("expects exactly one non-singleton maximal interval of size >= 3")
     shrunk: list[str] = []
     for code in dk:
-        dec = _prime_decomposition(from_graph6(code), ck)
-        lone = _lone_nonsingleton(dec)
+        lone = _lone_nonsingleton(cards.prime(code))
         if lone is None or lone[1].n != size - 1:
             raise DeckIntegrityError("skeleton-preserving cards must shrink the interval by one")
         shrunk.append(canonical_form(lone[1]))
@@ -294,7 +325,7 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
         g = reconstruct_degenerate(interval_deck)
         candidates[canonical_form(g)] = g
     else:
-        for cand in _single_large_candidates(k, non, size):
+        for cand in _single_large_candidates(cards, k, non, size):
             candidates.setdefault(canonical_form(cand), cand)
         if not candidates:
             # small-skeleton cases: inspect every possible interval directly
@@ -304,10 +335,10 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
                 raise CapabilityError("direct interval inspection limited to 8 vertices")
             for cand in oracle_preimages(interval_deck):
                 candidates.setdefault(canonical_form(cand), cand)
-    host = from_graph6(min(dk))
+    host = cards.prime(min(dk))
     survivors: list[Graph] = []
     for _, cand in sorted(candidates.items()):
-        if deck_equal(make_deck(_splice_unique(host, cand, ck)), d):
+        if deck_equal(make_deck(_splice_unique(host, cand)), d):
             survivors.append(cand)
     if len(survivors) != 1:
         raise DeckIntegrityError("interval recovery did not isolate a unique interval")
@@ -319,13 +350,9 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
 
 def _consistent_positions(k: Graph, s: Graph, pos: int) -> set[int]:
     """Images of pos under every embedding of s into k as an induced subgraph."""
-    cs = canonical_form(s)
     labs = canonical_labeling(s)
     out: set[int] = set()
-    for xs in combinations(range(k.n), s.n):
-        sub = k.induced_subgraph(xs)
-        if canonical_form(sub) != cs:
-            continue
+    for xs, sub in _induced_copies(k, s):
         inv = [0] * sub.n
         for v, p in enumerate(canonical_labeling(sub)):
             inv[p] = v
@@ -340,21 +367,24 @@ def _edge_consistent(k: Graph, icode: str, positions: set[int], total_edges: int
     return {p for p in positions if total_edges == k.edge_count() + k.degree(p) + extra}
 
 
-def _order1_cards(non: list[str], k: Graph) -> list[tuple[str, object]]:
+def _order1_cards(d: Deck, k: Graph) -> list[_Card]:
+    """Skeleton-changing cards with a prime quotient on |K| - 1 vertices."""
+    cards = _cards(d)
+    _, non = cards.split(k)
     out = []
     for code in sorted(set(non)):
-        dec = decompose(from_graph6(code))
-        if dec.kind is Kind.PRIME and dec.skeleton.n == k.n - 1:
-            out.append((code, dec))
+        card = cards.by_code[code]
+        if card.dec.kind is Kind.PRIME and card.skeleton.n == k.n - 1:
+            out.append(card)
     return out
 
 
-def _pair_generic(k: Graph, non: list[str], total_edges: int) -> tuple[str, set[int]]:
-    order1 = _order1_cards(non, k)
+def _pair_generic(d: Deck, k: Graph, total_edges: int) -> tuple[str, set[int]]:
+    order1 = _order1_cards(d, k)
     if order1:
         icodes: set[str] = set()
         positions: set[int] = set()
-        for _, dec in order1:
+        for _, dec, _, _ in order1:
             lone = _lone_nonsingleton(dec)
             if lone is None or lone[1].n != 2:
                 raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
@@ -401,10 +431,13 @@ def _lone_pair_interval(p: Graph):
     return None
 
 
-def _pair_critical(k: Graph, non: list[str], total_edges: int) -> tuple[str, set[int]]:
+def _pair_critical(
+    d: Deck, k: Graph, non: list[str], total_edges: int
+) -> tuple[str, set[int]]:
+    cards = _cards(d).by_code
     evidence: dict[str, set[int] | None] = {}
     for code in sorted(set(non)):
-        h = from_graph6(code)
+        h = cards[code].graph
         for flip in (False, True):
             g2 = h.complement() if flip else h
             base = k.complement() if flip else k
@@ -445,14 +478,14 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     consistent with the deck's evidence."""
     if d.n != k.n + 1:
         raise ValueError("expects a skeleton one vertex smaller than the graph")
-    dk, non = _dk_split(d, k)
+    dk, non = _cards(d).split(k)
     if len(dk) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
     total_edges = edge_count_from_deck(d)
     if is_critically_indecomposable(k):
-        icode, positions = _pair_critical(k, non, total_edges)
+        icode, positions = _pair_critical(d, k, non, total_edges)
     else:
-        icode, positions = _pair_generic(k, non, total_edges)
+        icode, positions = _pair_generic(d, k, total_edges)
     return from_graph6(icode), tuple(sorted(positions))
 
 
@@ -538,40 +571,17 @@ def _degenerate_deck_kind(d: Deck) -> Kind | None:
     return None
 
 
+def _component_keys(_: int, g: Graph) -> list[tuple[int, str]]:
+    return [(0, canonical_form(g.induced_subgraph(comp))) for comp in g.components()]
+
+
 def _rebuild_from_components(n: int, cards: list[Graph]) -> Graph:
-    pool: Counter[str] = Counter()
-    for card in cards:
-        for comp in card.components():
-            pool[canonical_form(card.induced_subgraph(comp))] += 1
-    orders: dict[str, int] = {}
-
-    def order_of(code: str) -> int:
-        if code not in orders:
-            orders[code] = from_graph6(code).n
-        return orders[code]
-
-    parts: list[Graph] = []
-    while pool:
-        code = max(pool, key=lambda c: (order_of(c), c))
-        big = from_graph6(code)
-        q = n - big.n
-        count = pool.pop(code)
-        if q <= 0 or count % q:
-            raise DeckIntegrityError("component attribution failed")
-        cnt = count // q
-        parts.extend([big] * cnt)
-        for v in range(big.n):
-            sub = big.delete_vertex(v)
-            for comp in sub.components():
-                key = canonical_form(sub.induced_subgraph(comp))
-                pool[key] -= cnt
-                if pool[key] < 0:
-                    raise DeckIntegrityError("component attribution failed")
-                if pool[key] == 0:
-                    del pool[key]
+    pool = Counter(key for card in cards for key in _component_keys(0, card))
+    parts = [p for _, p in _largest_first(pool, n, _component_keys, "component")]
     if sum(p.n for p in parts) != n or len(parts) < 2:
         raise DeckIntegrityError("components do not assemble to the right order")
-    parts.sort(key=lambda p: (p.n, canonical_form(p)))
+    # parts arrive sorted by code; a stable sort by order keeps that within an order
+    parts.sort(key=lambda p: p.n)
     return disjoint_union(parts)
 
 
@@ -605,7 +615,6 @@ def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
     orbs = automorphism_orbits(k)
     oix = orbit_index(orbs)
     inv_k = _position_map(k)
-    ck = canonical_form(k)
     full: Counter[tuple[int, str]] = Counter(
         (t, canonical_form(p)) for t, p in tagged
     )
@@ -631,7 +640,8 @@ def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
         if found:
             break
 
-    dk, non = _dk_split(d, k)
+    cards = _cards(d)
+    dk, non = cards.split(k)
     if found is not None:
         t, code, shrunk = found
         target = Counter(full)
@@ -640,7 +650,7 @@ def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
             del target[(t, code)]
         target[(t, shrunk)] += 1
         for card_code in sorted(set(dk)):
-            dec = _prime_decomposition(from_graph6(card_code), ck)
+            dec = cards.prime(card_code)
             labs = canonical_labeling(dec.skeleton)
             tags = [oix[inv_k[labs[pos]]] for pos, _ in dec.intervals]
             cm = Counter(
@@ -683,9 +693,10 @@ def _vertex_transitive_rebuild(
     if want[SINGLETON_CODE] == 0:
         del want[SINGLETON_CODE]
     degree = k.degree(0)
+    cards = _cards(d).by_code
     for card_code in sorted(set(non)):
-        dec = decompose(from_graph6(card_code))
-        if dec.kind is not Kind.PRIME or canonical_form(dec.skeleton) != ck1:
+        _, dec, _, code = cards[card_code]
+        if dec.kind is not Kind.PRIME or code != ck1:
             continue
         if Counter(canonical_form(p) for _, p in dec.intervals) != want:
             continue
@@ -706,20 +717,18 @@ def _vertex_transitive_rebuild(
 
 def _reconstruct_single_large(d: Deck, k: Graph) -> tuple[Graph, str]:
     part = interval_single_large(d, k)
-    dk, _ = _dk_split(d, k)
-    host = from_graph6(min(dk))
-    return _splice_unique(host, part, canonical_form(k)), "single large interval splice"
+    cards = _cards(d)
+    dk, _ = cards.split(k)
+    return _splice_unique(cards.prime(min(dk)), part), "single large interval splice"
 
 
 def _relaxed_positions(d: Deck, k: Graph, icode: str, total_edges: int) -> set[int]:
     """Evidence-consistent positions restricted to witness deletion classes."""
-    _, non = _dk_split(d, k)
     witnesses = _relaxed_witnesses(k)
     wcodes = {canonical_form(k.delete_vertex(kp)): kp for kp in witnesses}
     positions: set[int] = set()
     seen_classes: set[str] = set()
-    for _, dec in _order1_cards(non, k):
-        code = canonical_form(dec.skeleton)
+    for _, dec, _, code in _order1_cards(d, k):
         if code not in wcodes:
             continue
         seen_classes.add(code)
@@ -746,8 +755,7 @@ def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
     oix = orbit_index(automorphism_orbits(k))
     if is_critically_indecomposable(k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
-    _, non = _dk_split(d, k)
-    if not _order1_cards(non, k):
+    if not _order1_cards(d, k):
         if len(pos_set) != 1:
             raise DeckIntegrityError("unique inflation point expected")
         return _inflate_at(k, pos_set.pop(), part), "size-two interval at unique position"
@@ -797,6 +805,8 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
         return _unsupported(exc.reason)
     except DeckIntegrityError:
         return _unsupported(NOT_DECOMPOSABLE)
+    except CapabilityError as exc:
+        return _unsupported(str(exc))
     if not deck_equal(make_deck(g), d):
         return _unsupported(NOT_DECOMPOSABLE)
     return ReconstructionResult("reconstructed", graph=g, provenance=provenance)

@@ -8,14 +8,11 @@ from deckrecon import (
     Graph,
     automorphism_orbits,
     canonical_form,
-    canonical_graph,
     canonical_labeling,
     complete_graph,
-    count_induced_copies,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    find_isomorphism,
     has_induced_subgraph,
     is_isomorphic,
     orbit_index,
@@ -55,7 +52,7 @@ def test_canonical_labeling_maps_onto_canonical_graph():
     for _ in range(100):
         g = random_graph(rng.randrange(1, 10), rng)
         lab = canonical_labeling(g)
-        assert g.relabel(lab) == canonical_graph(g)
+        assert g.relabel(lab) == from_graph6(canonical_form(g))
 
 
 def test_is_isomorphic_basic():
@@ -118,23 +115,8 @@ def test_induced_subgraph_search():
     assert has_induced_subgraph(house, cycle_graph(4))
     assert has_induced_subgraph(house, complete_graph(3))
     assert not has_induced_subgraph(house, empty_graph(3))
-    assert count_induced_copies(cycle_graph(5), path_graph(3)) == 5
-    assert count_induced_copies(complete_graph(5), complete_graph(3)) == 10
     with pytest.raises(ValueError):
         has_induced_subgraph(path_graph(3), path_graph(4))
-
-
-def test_find_isomorphism():
-    rng = random.Random(13)
-    for _ in range(60):
-        g = random_graph(rng.randrange(1, 9), rng)
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        h = g.relabel(perm)
-        phi = find_isomorphism(g, h)
-        assert phi is not None
-        assert g.relabel(phi) == h
-    assert find_isomorphism(path_graph(4), cycle_graph(4)) is None
 
 
 def test_disconnected_and_edge_cases():

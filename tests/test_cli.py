@@ -4,7 +4,7 @@ import pytest
 
 from deckrecon import canonical_form, cycle_graph, inflate, make_deck, save_deck
 from deckrecon.cli import main
-from deckrecon.graphs import complete_graph, empty_graph
+from deckrecon.graphs import complete_graph, empty_graph, path_graph
 
 
 def run(capsys, *argv):
@@ -45,10 +45,11 @@ def test_deck_output(capsys, c5):
 
 def test_graph_from_file(capsys, tmp_path, c5):
     path = tmp_path / "graph.g6"
-    path.write_text("# comment\n" + canonical_form(c5) + "\n")
-    code, out, _ = run(capsys, "deck", f"@{path}")
-    assert code == 0
-    assert out.split() == list(make_deck(c5).cards)
+    for text in ("# comment\n", "  # indented comment\n"):
+        path.write_text(text + canonical_form(c5) + "\n")
+        code, out, _ = run(capsys, "deck", f"@{path}")
+        assert code == 0
+        assert out.split() == list(make_deck(c5).cards)
 
 
 def test_reconstruct_roundtrip(capsys, tmp_path, c5):
@@ -69,6 +70,16 @@ def test_reconstruct_unsupported_exit_code(capsys, tmp_path, c5):
     code, out, _ = run(capsys, "reconstruct", str(path))
     assert code == 1
     assert out.startswith("unsupported:")
+
+
+def test_reconstruct_past_a_size_cap_exits_1(capsys, tmp_path):
+    # a well-formed deck whose 13-vertex skeleton exceeds the criticality cap
+    g = inflate(path_graph(13), [complete_graph(2)] + [empty_graph(1)] * 12)
+    path = tmp_path / "deck.g6"
+    save_deck(make_deck(g), path)
+    code, out, _ = run(capsys, "reconstruct", str(path))
+    assert code == 1
+    assert out.startswith("unsupported: criticality test limited to 12 vertices")
 
 
 def test_reconstruct_oracle_fallback(capsys, tmp_path, c5):

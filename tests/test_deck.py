@@ -13,14 +13,11 @@ from deckrecon import (
     deck_equal,
     edge_count_from_deck,
     empty_graph,
-    filter_by_skeleton,
-    inflate,
     load_deck,
     make_deck,
     parse_deck_text,
     path_graph,
     save_deck,
-    subtract_attributable,
 )
 
 from test_graphs import random_graph
@@ -68,23 +65,6 @@ def test_edge_count_rejects_inconsistent_deck():
         edge_count_from_deck(Deck(4, cards))
     with pytest.raises(ValueError):
         edge_count_from_deck(make_deck(complete_graph(2)))
-
-
-def test_filter_by_skeleton(c5):
-    g = inflate(c5, [complete_graph(2)] + [empty_graph(1)] * 4)
-    d = make_deck(g)
-    kept = filter_by_skeleton(d, c5)
-    # deleting any of the 4 singleton positions destroys the C5 skeleton
-    assert len(kept) == 2
-    assert set(kept) <= set(d.cards)
-
-
-def test_subtract_attributable():
-    pool = ["a", "a", "b", "c"]
-    assert subtract_attributable(pool, ["a", "c"]) == ("a", "b")
-    assert subtract_attributable(pool, []) == ("a", "a", "b", "c")
-    with pytest.raises(DeckIntegrityError):
-        subtract_attributable(pool, ["b", "b"])
 
 
 def test_parse_deck_text_and_files(tmp_path, c5):

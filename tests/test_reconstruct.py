@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 
@@ -32,6 +33,7 @@ from deckrecon import (
     skeleton_from_deck,
 )
 from deckrecon.graphs import from_graph6
+from deckrecon.modular import Kind
 from deckrecon.oracle import enumerate_graphs
 
 from test_graphs import random_graph
@@ -221,22 +223,73 @@ def assert_reconstructs(g, provenance=None):
     return res
 
 
+def branch_examples(c5, bull):
+    """One graph per reconstruction branch, with the provenance it earns."""
+    return [
+        (disjoint_union([complete_graph(3), path_graph(3)]), "degenerate components"),
+        (inflate(bull, [complete_graph(3), K2, K1, K1, K1]), "multi-interval splice"),
+        (inflate(c5, [path_graph(3), K1, K1, K1, K1]), "single large interval splice"),
+        (c5_with_edge_interval(c5), "size-two interval, orbit identified"),
+        (inflate(c5, [K2, K2, K1, K1, K1]), "vertex-transitive skeleton"),
+    ]
+
+
 def test_reconstruct_examples(c5, bull):
-    assert_reconstructs(
-        disjoint_union([complete_graph(3), path_graph(3)]), "degenerate components"
-    )
-    assert_reconstructs(
-        inflate(bull, [complete_graph(3), K2, K1, K1, K1]), "multi-interval splice"
-    )
-    assert_reconstructs(
-        inflate(c5, [path_graph(3), K1, K1, K1, K1]), "single large interval splice"
-    )
-    assert_reconstructs(
-        c5_with_edge_interval(c5), "size-two interval, orbit identified"
-    )
-    assert_reconstructs(
-        inflate(c5, [K2, K2, K1, K1, K1]), "vertex-transitive skeleton"
-    )
+    for g, provenance in branch_examples(c5, bull):
+        assert_reconstructs(g, provenance)
+
+
+def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
+    # the package re-exports a function under the module's name
+    rc = importlib.import_module("deckrecon.reconstruct")
+    decomposed = []
+
+    def recording(g):
+        decomposed.append(canonical_form(g))
+        return decompose(g)
+
+    monkeypatch.setattr(rc, "decompose", recording)
+    for g, provenance in branch_examples(c5, bull):
+        d = make_deck(g)
+        decomposed.clear()
+        assert_reconstructs(g, provenance)
+        again = [code for code, q in Counter(decomposed).items() if q > 1 and code in d.cards]
+        assert not again, (provenance, again)
+
+
+def test_reconstruct_outcome_histogram_up_to_seven_vertices():
+    got = Counter()
+    for n in range(4, 8):
+        for code in enumerate_graphs(n).classes:
+            g = from_graph6(code)
+            if decompose(g).kind is Kind.INDECOMPOSABLE:
+                continue
+            res = reconstruct(make_deck(g))
+            got[(res.status, res.provenance or res.reason)] += 1
+    assert got == {
+        ("reconstructed", "degenerate components"): 506,
+        ("reconstructed", "multi-interval splice"): 112,
+        ("reconstructed", "single large interval splice"): 70,
+        ("reconstructed", "size-two interval, orbit identified (relaxed)"): 56,
+        ("reconstructed", "size-two interval, orbit identified"): 14,
+        ("reconstructed", "size-two interval at unique position"): 10,
+        ("reconstructed", "vertex-transitive skeleton"): 6,
+        ("unsupported", "size-two interval with unidentifiable orbit"): 148,
+        ("unsupported", "hereditary orbits"): 32,
+    }
+
+
+def test_reconstruct_past_the_size_caps_is_unsupported():
+    # 13-vertex skeletons exceed the orbit cap (several intervals) and the
+    # criticality cap (one size-two interval); both caps are 12 vertices
+    p13 = path_graph(13)
+    for parts, reason in (
+        ([K2] + [K1] * 12, "criticality test limited to 12 vertices"),
+        ([K2, K1, K2] + [K1] * 10, "orbit computation limited to 12 vertices"),
+    ):
+        res = reconstruct(make_deck(inflate(p13, parts)))
+        assert res.status == "unsupported"
+        assert res.reason == reason
 
 
 def test_reconstruct_open_cases():
@@ -273,8 +326,6 @@ def test_reconstruct_fabricated_deck_has_no_preimage():
 
 def test_reconstruct_random_decomposable_graphs():
     rng = random.Random(99)
-    from deckrecon.modular import Kind
-
     done = 0
     while done < 60:
         g = random_graph(rng.randrange(4, 9), rng, rng.random())
