@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .canon import CapabilityError, canonical_form
-from .deck import DeckError, DeckIntegrityError, load_deck, make_deck
+from .deck import DeckError, load_deck, make_deck
 from .graphs import Graph, Graph6Error, from_graph6
 from .modular import Kind, decompose
 from .reconstruct import reconstruct
@@ -46,6 +46,8 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 def _cmd_decompose(args) -> int:
     g = _read_graph(args.graph)
+    if g.n < 1:
+        raise InputError("graphs with no vertices have no decomposition")
     dec = decompose(g)
     payload: dict = {"kind": dec.kind.value, "n": g.n}
     lines = [f"kind: {dec.kind.value}"]
@@ -155,13 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, Graph6Error, DeckError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        if isinstance(exc, DeckIntegrityError):
-            print(f"integrity error: {exc}", file=sys.stderr)
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
 

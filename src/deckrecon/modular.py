@@ -9,7 +9,6 @@ from .canon import CapabilityError
 from .graphs import Graph, _bits
 
 MODULE_VERTEX_LIMIT = 20
-CRITICAL_TEST_LIMIT = 12
 
 
 class Kind(str, Enum):
@@ -35,24 +34,27 @@ class ModularDecomposition:
     parts: tuple[Graph, ...] | None = None
 
 
+def _closure(g: Graph, mask: int) -> int:
+    """The smallest module containing mask: each splitter (an outside vertex
+    that sees some, but not all, of the set) joins it as soon as it is found,
+    until a full scan adds none (Ehrenfeucht, Gabow, McConnell & Sullivan 1994)."""
+    outside = [v for v in range(g.n) if not mask >> v & 1]
+    while True:
+        rest = []
+        for v in outside:
+            hit = g.adj[v] & mask
+            if hit and hit != mask:
+                mask |= 1 << v
+            else:
+                rest.append(v)
+        if len(rest) == len(outside):
+            return mask
+        outside = rest
+
+
 def is_module(g: Graph, mask: int) -> bool:
     """True iff every vertex outside mask sees all of mask or none of it."""
-    for v in range(g.n):
-        if mask >> v & 1:
-            continue
-        hit = g.adj[v] & mask
-        if hit and hit != mask:
-            return False
-    return True
-
-
-def _proper_module_masks(g: Graph) -> list[int]:
-    out = []
-    for mask in range(3, 1 << g.n):
-        size = mask.bit_count()
-        if 2 <= size <= g.n - 1 and is_module(g, mask):
-            out.append(mask)
-    return out
+    return _closure(g, mask) == mask
 
 
 def modules(g: Graph) -> list[tuple[int, ...]]:
@@ -69,15 +71,12 @@ def modules(g: Graph) -> list[tuple[int, ...]]:
 
 def is_indecomposable(g: Graph) -> bool:
     """No proper module; graphs on at most 2 vertices count as indecomposable."""
-    if g.n > MODULE_VERTEX_LIMIT:
-        raise CapabilityError(f"module scan limited to {MODULE_VERTEX_LIMIT} vertices")
-    if g.n <= 2:
-        return True
-    for mask in range(3, 1 << g.n):
-        size = mask.bit_count()
-        if 2 <= size <= g.n - 1 and is_module(g, mask):
-            return False
-    return True
+    full = (1 << g.n) - 1
+    return all(
+        _closure(g, 1 << u | 1 << v) == full
+        for v in range(g.n)
+        for u in range(v + 1, g.n)
+    )
 
 
 def indecomposable_masks(g: Graph) -> list[bool]:
@@ -110,11 +109,26 @@ def indecomposable_masks(g: Graph) -> list[bool]:
 
 
 def maximal_proper_module_masks(g: Graph) -> list[int]:
-    mods = _proper_module_masks(g)
+    """The maximal proper modules, by lowest vertex; singletons included.
+
+    g must be connected and co-connected: only then do two proper modules
+    that share v have a proper union, so that u joins the module grown from
+    v exactly when the closure of the two falls short of V.
+    """
+    full = (1 << g.n) - 1
     out = []
-    for m in mods:
-        if not any(m != o and m & o == m for o in mods):
-            out.append(m)
+    covered = 0
+    for v in range(g.n):
+        if covered >> v & 1:
+            continue
+        m = 1 << v
+        for u in range(g.n):
+            if not m >> u & 1:
+                c = _closure(g, m | 1 << u)
+                if c != full:
+                    m = c
+        out.append(m)
+        covered |= m
     return out
 
 
@@ -122,8 +136,6 @@ def decompose(g: Graph) -> ModularDecomposition:
     """Top-level modular decomposition (unique skeleton, Prime intervals)."""
     if g.n < 1:
         raise ValueError("decomposition needs at least one vertex")
-    if g.n > MODULE_VERTEX_LIMIT:
-        raise CapabilityError(f"module scan limited to {MODULE_VERTEX_LIMIT} vertices")
     if g.n <= 2:
         return ModularDecomposition(Kind.INDECOMPOSABLE)
     comps = g.components()
@@ -136,22 +148,15 @@ def decompose(g: Graph) -> ModularDecomposition:
         return ModularDecomposition(
             Kind.SERIES, parts=tuple(g.induced_subgraph(c) for c in cocomps)
         )
-    maximal = maximal_proper_module_masks(g)
-    if not maximal:
+    part_masks = maximal_proper_module_masks(g)
+    if len(part_masks) == g.n:
         return ModularDecomposition(Kind.INDECOMPOSABLE)
-    # Connected and co-connected: the maximal proper modules are pairwise
-    # disjoint and, together with leftover singletons, partition V. Checked
-    # rather than assumed.
+    # The maximal proper modules partition V: checked rather than assumed.
     covered = 0
-    for m in maximal:
+    for m in part_masks:
         if m & covered:
             raise RuntimeError("maximal modules of a prime-quotient graph overlap")
         covered |= m
-    part_masks = list(maximal)
-    for v in range(g.n):
-        if not covered >> v & 1:
-            part_masks.append(1 << v)
-    part_masks.sort(key=lambda m: (m & -m).bit_length())
     k = len(part_masks)
     reps = [(m & -m).bit_length() - 1 for m in part_masks]
     rows = [0] * k
@@ -161,8 +166,6 @@ def decompose(g: Graph) -> ModularDecomposition:
             if hit == part_masks[j]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            elif hit:
-                raise RuntimeError("module boundary violated between quotient parts")
             for u in _bits(part_masks[i]):
                 cross = g.adj[u] & part_masks[j]
                 if cross not in (0, part_masks[j]):
@@ -242,8 +245,6 @@ def critically_indecomposable(n: int, complemented: bool = False) -> Graph:
 
 def is_critically_indecomposable(g: Graph) -> bool:
     """Indecomposable with no indecomposable one-vertex-deleted subgraph."""
-    if g.n > CRITICAL_TEST_LIMIT:
-        raise CapabilityError(f"criticality test limited to {CRITICAL_TEST_LIMIT} vertices")
     if not is_indecomposable(g):
         return False
     return not any(is_indecomposable(g.delete_vertex(v)) for v in range(g.n))

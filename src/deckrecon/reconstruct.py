@@ -33,7 +33,7 @@ from .deck import (
     edge_count_from_deck,
     make_deck,
 )
-from .graphs import Graph, _bits, disjoint_union, empty_graph, from_graph6
+from .graphs import Graph, disjoint_union, empty_graph, from_graph6
 from .modular import (
     Kind,
     ModularDecomposition,
@@ -42,7 +42,6 @@ from .modular import (
     inflate,
     is_critically_indecomposable,
     is_indecomposable,
-    maximal_proper_module_masks,
 )
 
 FAMILY_TEST_LIMIT = 10
@@ -421,13 +420,16 @@ def _lone_pair_interval(p: Graph):
         if lone is not None and lone[1].n == 2:
             return canonical_form(lone[1]), dec.skeleton, lone[0]
         return None
-    masks = [m for m in maximal_proper_module_masks(p) if m.bit_count() >= 2]
-    if masks:
-        parts = [p.induced_subgraph(_bits(m)) for m in masks]
-        if all(q.n == 2 for q in parts):
-            codes = {canonical_form(q) for q in parts}
-            if len(codes) == 1:
-                return codes.pop(), None, None
+    if dec.parts is None:
+        return None
+    # Its maximal proper modules are its two parts or, with more, complements
+    # of single parts: two-vertex (and all like p - 0) only when p.n == 3.
+    if len(dec.parts) == 2:
+        mods = [q for q in dec.parts if q.n >= 2]
+    else:
+        mods = [p.delete_vertex(0)]
+    if mods and all(q.n == 2 for q in mods):
+        return canonical_form(mods[0]), None, None
     return None
 
 

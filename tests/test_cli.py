@@ -73,13 +73,13 @@ def test_reconstruct_unsupported_exit_code(capsys, tmp_path, c5):
 
 
 def test_reconstruct_past_a_size_cap_exits_1(capsys, tmp_path):
-    # a well-formed deck whose 13-vertex skeleton exceeds the criticality cap
+    # a well-formed deck whose 13-vertex skeleton exceeds the orbit cap
     g = inflate(path_graph(13), [complete_graph(2)] + [empty_graph(1)] * 12)
     path = tmp_path / "deck.g6"
     save_deck(make_deck(g), path)
     code, out, _ = run(capsys, "reconstruct", str(path))
     assert code == 1
-    assert out.startswith("unsupported: criticality test limited to 12 vertices")
+    assert out.startswith("unsupported: orbit computation limited to 12 vertices")
 
 
 def test_reconstruct_oracle_fallback(capsys, tmp_path, c5):
@@ -117,5 +117,22 @@ def test_unknown_claim_exits_2(capsys):
 
 
 def test_oversized_graph_exits_2(capsys):
-    code, _, err = run(capsys, "decompose", empty_graph(21).to_graph6())
+    # the long-form header of a 65-vertex graph
+    code, _, err = run(capsys, "decompose", "~?@@")
     assert code == 2
+
+
+def test_decompose_of_the_empty_graph_exits_2(capsys):
+    code, _, err = run(capsys, "decompose", "?")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_internal_value_error_exits_3(capsys, monkeypatch, c5):
+    def broken(g):
+        raise ValueError("precondition violated")
+
+    monkeypatch.setattr("deckrecon.cli.decompose", broken)
+    code, _, err = run(capsys, "decompose", canonical_form(c5))
+    assert code == 3
+    assert "precondition violated" in err

@@ -53,6 +53,8 @@ def test_modules_listing():
     assert modules(g) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     found = modules(path_graph(4))
     assert found == [(0,), (1,), (2,), (3,), (0, 1, 2, 3)]
+    with pytest.raises(CapabilityError):
+        modules(empty_graph(21))
 
 
 def test_indecomposable_small_convention():
@@ -115,8 +117,11 @@ def test_decompose_kinds(p4):
     assert decompose(empty_graph(1)).kind is Kind.INDECOMPOSABLE
     with pytest.raises(ValueError):
         decompose(empty_graph(0))
-    with pytest.raises(CapabilityError):
-        decompose(empty_graph(21))
+    # past 20 vertices, up to the 64-vertex graph cap
+    assert decompose(empty_graph(21)).kind is Kind.PARALLEL
+    big = inflate(cycle_graph(5), [path_graph(60)] + [empty_graph(1)] * 4)
+    dec = decompose(big)
+    assert dec.kind is Kind.PRIME and dec.intervals[0][1] == path_graph(60)
 
 
 def test_decompose_prime_example(c5):
@@ -186,6 +191,47 @@ def test_maximal_modules_partition_prime_graphs():
         for m in masks:
             assert not seen & m
             seen |= m
+        assert seen == (1 << g.n) - 1
+
+
+def _check_against_module_oracle(g):
+    # the subset-scan oracle lists every module, V and singletons included
+    proper = [mask(t) for t in modules(g) if len(t) < g.n]
+    assert is_indecomposable(g) == all(m.bit_count() == 1 for m in proper), g
+    if g.n < 3 or len(g.components()) > 1 or len(g.complement().components()) > 1:
+        return
+    maximal = [m for m in proper if not any(m != o and m & o == m for o in proper)]
+    maximal.sort(key=lambda m: m & -m)
+    assert maximal_proper_module_masks(g) == maximal, g
+    dec = decompose(g)
+    if len(maximal) == g.n:
+        assert dec.kind is Kind.INDECOMPOSABLE
+        return
+    # PRIME intervals are the maximal modules, listed by lowest vertex
+    assert dec.kind is Kind.PRIME
+    parts = [g.induced_subgraph([v for v in range(g.n) if m >> v & 1]) for m in maximal]
+    assert [p for _, p in dec.intervals] == parts, g
+
+
+def test_module_closure_agrees_with_subset_scan_on_catalogs():
+    for n in range(0, 9):
+        for code in enumerate_graphs(n).classes:
+            _check_against_module_oracle(from_graph6(code))
+
+
+def test_module_closure_agrees_with_subset_scan_past_eight_vertices():
+    rng = random.Random(41)
+    for i in range(200):
+        n = rng.randrange(9, 17)
+        if i % 2:
+            g = random_graph(n, rng)
+        else:
+            k = rng.randrange(4, 8)
+            sizes = [1] * k
+            for _ in range(n - k):
+                sizes[rng.randrange(k)] += 1
+            g = inflate(path_graph(k), [random_graph(s, rng) for s in sizes])
+        _check_against_module_oracle(g)
 
 
 def test_half_graphs():
@@ -207,6 +253,10 @@ def test_critically_indecomposable_predicate(p4, c5, bull):
     assert not is_critically_indecomposable(c5)
     assert not is_critically_indecomposable(bull)
     assert not is_critically_indecomposable(complete_graph(4))
+    # past 12 vertices as well
+    for n in (14, 20):
+        for complemented in (False, True):
+            assert is_critically_indecomposable(critically_indecomposable(n, complemented))
 
 
 def test_critically_indecomposable_census():

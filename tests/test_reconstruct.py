@@ -280,16 +280,20 @@ def test_reconstruct_outcome_histogram_up_to_seven_vertices():
 
 
 def test_reconstruct_past_the_size_caps_is_unsupported():
-    # 13-vertex skeletons exceed the orbit cap (several intervals) and the
-    # criticality cap (one size-two interval); both caps are 12 vertices
+    # 13-vertex skeletons exceed the 12-vertex orbit cap, both with several
+    # intervals and with one size-two interval
     p13 = path_graph(13)
-    for parts, reason in (
-        ([K2] + [K1] * 12, "criticality test limited to 12 vertices"),
-        ([K2, K1, K2] + [K1] * 10, "orbit computation limited to 12 vertices"),
-    ):
+    for parts in ([K2] + [K1] * 12, [K2, K1, K2] + [K1] * 10):
         res = reconstruct(make_deck(inflate(p13, parts)))
         assert res.status == "unsupported"
-        assert res.reason == reason
+        assert res.reason == "orbit computation limited to 12 vertices"
+
+
+def test_reconstruct_a_24_vertex_graph():
+    g = inflate(cycle_graph(5), [path_graph(20)] + [K1] * 4)
+    res = reconstruct(make_deck(g))
+    assert res.reconstructed and g.n == 24
+    assert is_isomorphic(res.graph, g)
 
 
 def test_reconstruct_open_cases():
