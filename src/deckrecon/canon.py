@@ -5,16 +5,27 @@ over cell orderings picking the lexicographically smallest adjacency
 bit-string. Automorphisms discovered as leaf collisions prune the search and
 supply the orbit partition. Exact and fast enough for graphs up to ~12
 vertices, which is all the desk-scale procedures need.
+
+`canonical_form` keeps a process-wide memo of the codes of small graphs,
+because reconstruction asks for the same cards again and again, within a
+deck and across decks. It holds only the code string, keyed on the adjacency
+rows, for graphs on at most `MEMO_ORDER_LIMIT` (8) vertices, and keeps the
+`MEMO_SIZE` (2048) most recently used entries, about 0.7 MB. Both are fixed.
+`canonical_code`, which the catalog build calls on graphs that never repeat,
+and `canonical_labeling` and `automorphism_orbits` always search afresh.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, bits_to_graph6
 
 ORBIT_VERTEX_LIMIT = 12
+MEMO_ORDER_LIMIT = 8
+MEMO_SIZE = 2048
 
 
 class CapabilityError(ValueError):
@@ -156,8 +167,15 @@ def canonical_code(n: int, adj: tuple[int, ...]) -> str:
     return bits_to_graph6(n, bits)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _small_code(adj: tuple[int, ...]) -> str:
+    return canonical_code(len(adj), adj)
+
+
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 code: equal codes iff isomorphic graphs."""
+    if g.n <= MEMO_ORDER_LIMIT:
+        return _small_code(g.adj)
     return canonical_code(g.n, g.adj)
 
 

@@ -100,11 +100,11 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import UnknownClaimError, check_claim
+    from .oracle import ClaimRangeError, UnknownClaimError, check_claim
 
     try:
         report = check_claim(args.claim, args.max_n)
-    except UnknownClaimError as exc:
+    except (UnknownClaimError, ClaimRangeError) as exc:
         raise InputError(str(exc)) from exc
     lines = [
         f"claim {report.claim} up to n={report.max_n}: "

@@ -20,28 +20,35 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_rows(n: int, adj: tuple[int, ...]) -> None:
+    """Vertex count in range, one row per vertex, no loops, no index >= n."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    if len(adj) != n:
+        raise ValueError("adjacency row count does not match vertex count")
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"vertex {v} has a neighbour index >= n")
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; adj[v] holds N(v) as a bitmask.
 
     Values are immutable: every operation returns a new Graph. Symmetry and
-    irreflexivity are enforced at construction time.
+    irreflexivity are enforced at construction time; graphs derived from a
+    valid graph (subgraphs, complements, relabellings, unions) are valid by
+    construction and skip the check.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency row count does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"vertex {v} has a neighbour index >= n")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
+        _check_rows(self.n, self.adj)
         for v in range(self.n):
             for u in _bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
@@ -76,17 +83,19 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabelling is not a permutation of 0..{self.n - 1}")
         rows = [0] * self.n
         for v in range(self.n):
             row = 0
             for u in _bits(self.adj[v]):
                 row |= 1 << perm[u]
             rows[perm[v]] = row
-        return Graph(self.n, tuple(rows))
+        return _derived(self.n, tuple(rows))
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(self.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.adj)))
+        return _derived(self.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.adj)))
 
     def induced_subgraph(self, xs: Iterable[int]) -> "Graph":
         """Induced subgraph on xs, relabelled 0..|xs|-1 in increasing vertex order."""
@@ -102,7 +111,7 @@ class Graph:
                 if u in index:
                     row |= 1 << index[u]
             rows.append(row)
-        return Graph(len(keep), tuple(rows))
+        return _derived(len(keep), tuple(rows))
 
     def delete_vertex(self, v: int) -> "Graph":
         if not 0 <= v < self.n:
@@ -135,6 +144,15 @@ class Graph:
         return to_graph6(self)
 
 
+def _derived(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph built without validation, for rows that are valid by
+    construction: derived from a valid graph, or decoded from graph6."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
 
@@ -163,7 +181,7 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
     for p in parts:
         rows.extend(row << offset for row in p.adj)
         offset += p.n
-    return Graph(n, tuple(rows))
+    return _derived(n, tuple(rows))
 
 
 # -- graph6 encoding ---------------------------------------------------------
@@ -250,4 +268,7 @@ def from_graph6(text: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             idx += 1
-    return Graph(n, tuple(rows))
+    # the rows are symmetric by construction; the other checks still run
+    adj = tuple(rows)
+    _check_rows(n, adj)
+    return _derived(n, adj)

@@ -57,6 +57,10 @@ class UnknownClaimError(ValueError):
     """No claim registered under that name."""
 
 
+class ClaimRangeError(ValueError):
+    """max_n is below every order a claim examines, so it would test nothing."""
+
+
 @dataclass(frozen=True)
 class GraphCatalog:
     """All isomorphism classes of n-vertex graphs as sorted canonical codes."""
@@ -478,10 +482,11 @@ def _claim_rc_exhaustive(max_n: int):
             tested += 1
             if len(codes) != 1:
                 witnesses.append(" ".join(sorted(codes)))
-    tested += 1
-    two = {make_deck(from_graph6(code)).cards for code in enumerate_graphs(2).classes}
-    if len(two) != 1:
-        witnesses.append("n=2 decks unexpectedly distinguish the two graphs")
+    if max_n >= 2:
+        tested += 1
+        two = {make_deck(from_graph6(code)).cards for code in enumerate_graphs(2).classes}
+        if len(two) != 1:
+            witnesses.append("n=2 decks unexpectedly distinguish the two graphs")
     return tested, witnesses
 
 
@@ -529,25 +534,26 @@ def _claim_reconstruction(max_n: int):
     return tested, witnesses
 
 
+# claim id -> (smallest order the claim examines, check up to max_n)
 CLAIMS = {
-    "fig1-counts": _claim_fig1_counts,
-    "fig2-criticality": _claim_fig2_criticality,
-    "thm-2.2": _claim_thm_2_2,
-    "lem-2.3": _claim_lem_2_3,
-    "cor-2.5": _claim_cor_2_5,
-    "lem-3.1": _claim_lem_3_1,
-    "thm-3.2": _claim_thm_3_2,
-    "lem-3.4": _claim_lem_3_4,
-    "lem-3.5": _claim_lem_3_5,
-    "lem-3.6": _claim_lem_3_6,
-    "thm-4.1": _claim_thm_4_1,
-    "cor-4.2": _claim_cor_4_2,
-    "cor-4.3": _claim_cor_4_3,
-    "thm-4.6": _claim_thm_4_6,
-    "recognition": _claim_recognition,
-    "rc-exhaustive": _claim_rc_exhaustive,
-    "kelly": _claim_kelly,
-    "reconstruction": _claim_reconstruction,
+    "fig1-counts": (3, _claim_fig1_counts),
+    "fig2-criticality": (4, _claim_fig2_criticality),
+    "thm-2.2": (4, _claim_thm_2_2),
+    "lem-2.3": (5, _claim_lem_2_3),
+    "cor-2.5": (6, _claim_cor_2_5),
+    "lem-3.1": (4, _claim_lem_3_1),
+    "thm-3.2": (4, _claim_thm_3_2),
+    "lem-3.4": (4, _claim_lem_3_4),
+    "lem-3.5": (4, _claim_lem_3_5),
+    "lem-3.6": (4, _claim_lem_3_6),
+    "thm-4.1": (5, _claim_thm_4_1),
+    "cor-4.2": (5, _claim_cor_4_2),
+    "cor-4.3": (4, _claim_cor_4_3),
+    "thm-4.6": (5, _claim_thm_4_6),
+    "recognition": (3, _claim_recognition),
+    "rc-exhaustive": (2, _claim_rc_exhaustive),
+    "kelly": (3, _claim_kelly),
+    "reconstruction": (4, _claim_reconstruction),
 }
 
 
@@ -555,8 +561,11 @@ def check_claim(name: str, max_n: int) -> ClaimReport:
     """Exhaustively verify a registered claim up to max_n vertices."""
     if name not in CLAIMS:
         raise UnknownClaimError(f"unknown claim {name!r}; known: {sorted(CLAIMS)}")
+    lo, claim = CLAIMS[name]
+    if max_n < lo:
+        raise ClaimRangeError(f"claim {name} starts at n={lo}; max_n={max_n} tests nothing")
     start = time.perf_counter()
-    tested, witnesses = CLAIMS[name](max_n)
+    tested, witnesses = claim(max_n)
     seconds = time.perf_counter() - start
     return ClaimReport(
         claim=name,

@@ -18,8 +18,12 @@ from deckrecon import (
     orbit_index,
     path_graph,
 )
-from deckrecon.oracle import enumerate_graphs
+from deckrecon.canon import MEMO_ORDER_LIMIT, MEMO_SIZE, _small_code, canonical_code
+from deckrecon.oracle import catalog_graphs, enumerate_graphs
 from deckrecon.graphs import from_graph6
+from deckrecon.modular import Kind, decompose
+from deckrecon.deck import make_deck
+from deckrecon.reconstruct import reconstruct
 
 from test_graphs import random_graph
 
@@ -125,3 +129,67 @@ def test_disconnected_and_edge_cases():
     g = disjoint_union([complete_graph(3), path_graph(3)])
     perm = [5, 3, 1, 4, 2, 0]
     assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+
+# -- the memo of small-graph codes ----------------------------------------------
+
+
+def test_memoised_codes_match_the_search():
+    # cold and warm lookups both give the uncached search's code, on every
+    # catalog graph and on relabelled copies of it
+    rng = random.Random(11)
+    _small_code.cache_clear()
+    for n in range(MEMO_ORDER_LIMIT):
+        for g in catalog_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            for x in (g, h, g, h):
+                assert canonical_form(x) == canonical_code(x.n, x.adj), x
+    assert _small_code.cache_info().hits > 0
+
+
+def test_memo_stays_within_its_bound():
+    rng = random.Random(12)
+    _small_code.cache_clear()
+    seen = set()
+    while len(seen) <= MEMO_SIZE + 100:
+        g = random_graph(MEMO_ORDER_LIMIT, rng)
+        seen.add(g.adj)
+        canonical_form(g)
+    info = _small_code.cache_info()
+    assert info.maxsize == MEMO_SIZE
+    assert info.currsize <= MEMO_SIZE
+
+
+def test_graphs_past_the_order_cap_leave_the_memo_untouched():
+    rng = random.Random(13)
+    canonical_form(path_graph(4))
+    before = _small_code.cache_info()
+    for n in (9, 10, 12, 16):
+        g = random_graph(n, rng)
+        assert canonical_form(g) == canonical_code(n, g.adj)
+        assert canonical_form(g) == canonical_form(g)
+    assert _small_code.cache_info() == before
+
+
+def _outcome(res):
+    graph = canonical_form(res.graph) if res.graph is not None else None
+    return res.status, res.provenance, res.reason, graph
+
+
+def test_reconstruct_is_the_same_with_a_cold_and_a_warm_memo():
+    rng = random.Random(14)
+    decks = []
+    for n in range(4, 8):
+        graphs = catalog_graphs(n)
+        for g in rng.sample(graphs, min(60, len(graphs))):
+            if decompose(g).kind is not Kind.INDECOMPOSABLE:
+                decks.append(make_deck(g))
+    cold = []
+    for d in decks:
+        _small_code.cache_clear()
+        cold.append(_outcome(reconstruct(d)))
+    warm = [_outcome(reconstruct(d)) for d in decks]
+    assert cold == warm
+    assert {status for status, *_ in cold} == {"reconstructed", "unsupported"}

@@ -99,6 +99,16 @@ def test_verify_claim(capsys):
     assert payload["failed"] == 0 and payload["tested"] == 3
 
 
+def test_verify_a_range_that_tests_nothing_exits_2(capsys):
+    for max_n in ("-1", "3"):
+        code, out, err = run(capsys, "verify", "thm-2.2", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert "tests nothing" in err
+    code, out, _ = run(capsys, "verify", "thm-2.2", "--max-n", "4")
+    assert code == 0 and "1/1 passed" in out
+
+
 def test_bad_graph6_exits_2(capsys):
     code, _, err = run(capsys, "decompose", "not-a-graph~~~")
     assert code == 2

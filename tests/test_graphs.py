@@ -141,3 +141,37 @@ def test_graph6_errors():
 def test_vertex_cap():
     with pytest.raises(ValueError):
         empty_graph(65)
+
+
+def _validated(g):
+    # the same graph built through the validating constructor
+    return Graph(g.n, g.adj)
+
+
+def test_derived_graphs_pass_the_validating_constructor():
+    from deckrecon.oracle import catalog_graphs
+
+    rng = random.Random(21)
+    for n in range(8):
+        others = catalog_graphs(max(n - 3, 0))
+        for g in catalog_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            keep = [v for v in range(n) if rng.random() < 0.5]
+            derived = [
+                g.relabel(perm),
+                g.complement(),
+                g.induced_subgraph(keep),
+                disjoint_union([g, rng.choice(others)]),
+                from_graph6(g.to_graph6()),
+            ]
+            derived += [g.delete_vertex(v) for v in range(n)]
+            for h in derived:
+                assert h == _validated(h), (g, h)
+
+
+def test_relabel_rejects_a_non_permutation():
+    g = path_graph(3)
+    for perm in ([0, 0, 1], [0, 1], [1, 2, 3], [0, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            g.relabel(perm)

@@ -13,7 +13,9 @@ from deckrecon import (
 )
 from deckrecon.graphs import from_graph6
 from deckrecon.oracle import (
+    CLAIMS,
     KNOWN_COUNTS,
+    ClaimRangeError,
     ClaimReport,
     UnknownClaimError,
     catalog_graphs,
@@ -94,6 +96,16 @@ def test_check_claim_report_shape():
 def test_check_claim_unknown():
     with pytest.raises(UnknownClaimError):
         check_claim("no-such-claim", 5)
+
+
+def test_check_claim_rejects_a_range_below_the_claim():
+    for name, (lo, claim) in CLAIMS.items():
+        # lo is the smallest order the claim examines: below it nothing is tested
+        assert claim(lo - 1) == (0, []), name
+        with pytest.raises(ClaimRangeError):
+            check_claim(name, lo - 1)
+        with pytest.raises(ClaimRangeError):
+            check_claim(name, -1)
 
 
 def test_check_claim_respects_max_n():
