@@ -13,8 +13,6 @@ from .deck import (
     Deck,
     DeckError,
     DeckIntegrityError,
-    card_graphs,
-    deck_equal,
     edge_count_from_deck,
     load_deck,
     make_deck,

@@ -27,7 +27,7 @@ def _read_graph(text: str) -> Graph:
     if text.startswith("@"):
         try:
             raw = Path(text[1:]).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {text[1:]!r}: {exc}") from exc
         lines = [ln for ln in map(str.strip, raw.splitlines()) if ln and not ln.startswith("#")]
         if len(lines) != 1:
@@ -79,7 +79,7 @@ def _cmd_deck(args) -> int:
 def _cmd_reconstruct(args) -> int:
     try:
         d = load_deck(args.deck)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.deck!r}: {exc}") from exc
     res = reconstruct(d, oracle_fallback=args.oracle_fallback)
     payload: dict = {"status": res.status}

@@ -22,8 +22,9 @@ class DeckIntegrityError(ValueError):
 class Deck:
     """The multiset of n one-vertex-deleted subgraphs of an n-vertex graph.
 
-    Cards are canonical graph6 codes kept sorted, so multiset equality is
-    plain tuple equality.
+    Cards may be given as any graph6 codes of the right order; they are
+    stored canonicalised and sorted, so multiset equality is plain tuple
+    equality.
     """
 
     n: int
@@ -34,36 +35,44 @@ class Deck:
             raise DeckError("deck needs at least one card")
         if len(self.cards) != self.n:
             raise DeckError(f"expected {self.n} cards, got {len(self.cards)}")
-        if list(self.cards) != sorted(self.cards):
-            raise DeckError("cards must be sorted")
-        for code in self.cards:
-            if from_graph6(code).n != self.n - 1:
+        canon: dict[str, str] = {}
+        for code in dict.fromkeys(self.cards):
+            card = from_graph6(code)
+            if card.n != self.n - 1:
                 raise DeckError("card order does not match deck size")
+            canon[code] = canonical_form(card)
+        object.__setattr__(self, "cards", tuple(sorted(canon[code] for code in self.cards)))
+
+
+def _trusted_deck(n: int, cards: tuple[str, ...]) -> Deck:
+    """A Deck built without validation, for cards that are canonical codes on
+    n - 1 vertices and sorted by construction."""
+    d = object.__new__(Deck)
+    object.__setattr__(d, "n", n)
+    object.__setattr__(d, "cards", cards)
+    return d
 
 
 def make_deck(g: Graph) -> Deck:
     if g.n < 1:
         raise ValueError("graphs with no vertices have no deck")
     cards = sorted(canonical_form(g.delete_vertex(v)) for v in range(g.n))
-    return Deck(g.n, tuple(cards))
-
-
-def deck_equal(a: Deck, b: Deck) -> bool:
-    return a.n == b.n and a.cards == b.cards
-
-
-def card_graphs(d: Deck) -> list[Graph]:
-    return [from_graph6(code) for code in d.cards]
+    return _trusted_deck(g.n, tuple(cards))
 
 
 def edge_count_from_deck(d: Deck) -> int:
     """|E(G)| recovered from the deck: sum of card edge counts over n-2."""
-    if d.n < 3:
+    return _edge_count(d.n, [from_graph6(code) for code in d.cards])
+
+
+def _edge_count(n: int, cards: list[Graph]) -> int:
+    """The edge-sum identity over the n decoded cards of a deck."""
+    if n < 3:
         raise ValueError("edge recovery needs at least three cards")
-    total = sum(from_graph6(code).edge_count() for code in d.cards)
-    if total % (d.n - 2):
+    total = sum(card.edge_count() for card in cards)
+    if total % (n - 2):
         raise DeckIntegrityError("card edge counts violate the edge-sum identity")
-    return total // (d.n - 2)
+    return total // (n - 2)
 
 
 def skeleton_code(code: str) -> str:
@@ -80,13 +89,10 @@ def parse_deck_text(text: str) -> Deck:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        codes.append(canonical_form(from_graph6(line)))
+        codes.append(line)
     if not codes:
         raise DeckError("deck file contains no cards")
-    orders = {from_graph6(c).n for c in codes}
-    if len(orders) != 1:
-        raise DeckError("cards of mixed orders in deck file")
-    return Deck(len(codes), tuple(sorted(codes)))
+    return Deck(len(codes), tuple(codes))
 
 
 def load_deck(path: str | Path) -> Deck:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .canon import (
     CapabilityError,
@@ -25,14 +25,7 @@ from .canon import (
     is_isomorphic,
     orbit_index,
 )
-from .deck import (
-    Deck,
-    DeckIntegrityError,
-    card_graphs,
-    deck_equal,
-    edge_count_from_deck,
-    make_deck,
-)
+from .deck import Deck, DeckIntegrityError, _edge_count, _trusted_deck, make_deck
 from .graphs import Graph, disjoint_union, empty_graph, from_graph6
 from .modular import (
     Kind,
@@ -89,16 +82,28 @@ class _Card(NamedTuple):
 
 
 class _CardTable:
-    """What reconstruction reads off the cards of one deck."""
+    """What reconstruction reads off the cards of one deck.
+
+    Cards are decoded on construction and decomposed on first use of
+    by_code, so the degenerate branch decomposes nothing.
+    """
 
     def __init__(self, d: Deck) -> None:
         self.deck = d
-        self.by_code: dict[str, _Card] = {}
-        for code in dict.fromkeys(d.cards):
-            g = from_graph6(code)
+        self.decoded = {code: from_graph6(code) for code in dict.fromkeys(d.cards)}
+        self.graphs = [self.decoded[code] for code in d.cards]
+
+    @cached_property
+    def by_code(self) -> dict[str, _Card]:
+        out: dict[str, _Card] = {}
+        for code, g in self.decoded.items():
             dec = decompose(g)
             k = _skeleton_of(g, dec)
-            self.by_code[code] = _Card(g, dec, k, canonical_form(k))
+            out[code] = _Card(g, dec, k, canonical_form(k))
+        return out
+
+    def edge_count(self) -> int:
+        return _edge_count(self.deck.n, self.graphs)
 
     def split(self, k: Graph) -> tuple[list[str], list[str]]:
         """Cards whose skeleton matches k, and the rest, in deck order."""
@@ -127,9 +132,10 @@ def _cards(d: Deck) -> _CardTable:
 
 def skeleton_from_deck(d: Deck) -> Graph:
     """The unique largest card skeleton on >= 4 vertices."""
+    cards = _cards(d)
     top_n = 0
     top_codes: set[str] = set()
-    for card in _cards(d).by_code.values():
+    for card in cards.by_code.values():
         k = card.skeleton
         if k.n < 4:
             continue
@@ -141,7 +147,9 @@ def skeleton_from_deck(d: Deck) -> Graph:
         raise DeckIntegrityError("no card has a skeleton on four or more vertices")
     if len(top_codes) > 1:
         raise DeckIntegrityError("largest card skeletons disagree")
-    return from_graph6(top_codes.pop())
+    code = top_codes.pop()
+    # a card that is its own skeleton has been decoded already
+    return cards.decoded[code] if code in cards.decoded else from_graph6(code)
 
 
 def singleton_count(d: Deck, k: Graph) -> int:
@@ -213,19 +221,29 @@ def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
     m = k.n - s
     if m < 2:
         raise ValueError("needs at least two non-singleton maximal intervals")
-    oix = orbit_index(automorphism_orbits(k))
-    inv_k = _position_map(k)
+    tagged = _orbit_tagger(k)
     pool: Counter[tuple[int, str]] = Counter()
     for code in dk:
-        dec = cards.prime(code)
-        labs = canonical_labeling(dec.skeleton)
-        for pos, part in dec.intervals:
+        for t, part in tagged(cards.prime(code)):
             if part.n >= 2:
-                pool[(oix[inv_k[labs[pos]]], canonical_form(part))] += 1
+                pool[(t, canonical_form(part))] += 1
     out = _largest_first(pool, d.n - s, _interval_keys, "interval")
     if len(out) != m or sum(p.n for _, p in out) != d.n - s:
         raise DeckIntegrityError("recovered intervals do not account for the deck")
     return out
+
+
+def _orbit_tagger(k: Graph) -> Callable[[ModularDecomposition], list[tuple[int, Graph]]]:
+    """For a card whose quotient is k: each of its intervals, in position
+    order, tagged with the k-orbit of its position."""
+    oix = orbit_index(automorphism_orbits(k))
+    inv_k = _position_map(k)
+
+    def tagged(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
+        labs = canonical_labeling(dec.skeleton)
+        return [(oix[inv_k[labs[pos]]], part) for pos, part in dec.intervals]
+
+    return tagged
 
 
 def _interval_keys(t: int, sub: Graph) -> list[tuple[int, str]]:
@@ -311,17 +329,17 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
     size = d.n - s
     if k.n - s != 1 or size < 3:
         raise ValueError("expects exactly one non-singleton maximal interval of size >= 3")
-    shrunk: list[str] = []
+    # the skeleton-preserving cards carry the interval's own deck
+    shrunk: list[Graph] = []
     for code in dk:
         lone = _lone_nonsingleton(cards.prime(code))
         if lone is None or lone[1].n != size - 1:
             raise DeckIntegrityError("skeleton-preserving cards must shrink the interval by one")
-        shrunk.append(canonical_form(lone[1]))
-    interval_deck = Deck(size, tuple(sorted(shrunk)))
+        shrunk.append(lone[1])
 
     candidates: dict[str, Graph] = {}
-    if _degenerate_deck_kind(interval_deck) is not None:
-        g = reconstruct_degenerate(interval_deck)
+    g = _degenerate_rebuild(size, shrunk)
+    if g is not None:
         candidates[canonical_form(g)] = g
     else:
         for cand in _single_large_candidates(cards, k, non, size):
@@ -332,12 +350,13 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
 
             if size > 8:
                 raise CapabilityError("direct interval inspection limited to 8 vertices")
+            interval_deck = _trusted_deck(size, tuple(sorted(map(canonical_form, shrunk))))
             for cand in oracle_preimages(interval_deck):
                 candidates.setdefault(canonical_form(cand), cand)
     host = cards.prime(min(dk))
     survivors: list[Graph] = []
     for _, cand in sorted(candidates.items()):
-        if deck_equal(make_deck(_splice_unique(host, cand)), d):
+        if make_deck(_splice_unique(host, cand)) == d:
             survivors.append(cand)
     if len(survivors) != 1:
         raise DeckIntegrityError("interval recovery did not isolate a unique interval")
@@ -378,20 +397,24 @@ def _order1_cards(d: Deck, k: Graph) -> list[_Card]:
     return out
 
 
+def _order1_evidence(d: Deck, k: Graph) -> Iterator[tuple[str, str, set[int]]]:
+    """For each order-1 card: its skeleton code, the code of its size-2
+    interval, and the skeleton vertices consistent with that interval."""
+    for _, dec, _, code in _order1_cards(d, k):
+        lone = _lone_nonsingleton(dec)
+        if lone is None or lone[1].n != 2:
+            raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
+        yield code, canonical_form(lone[1]), _consistent_positions(k, dec.skeleton, lone[0])
+
+
 def _pair_generic(d: Deck, k: Graph, total_edges: int) -> tuple[str, set[int]]:
-    order1 = _order1_cards(d, k)
-    if order1:
-        icodes: set[str] = set()
-        positions: set[int] = set()
-        for _, dec, _, _ in order1:
-            lone = _lone_nonsingleton(dec)
-            if lone is None or lone[1].n != 2:
-                raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
-            icodes.add(canonical_form(lone[1]))
-            positions |= _consistent_positions(k, dec.skeleton, lone[0])
+    evidence = list(_order1_evidence(d, k))
+    if evidence:
+        icodes = {icode for _, icode, _ in evidence}
         if len(icodes) != 1:
             raise DeckIntegrityError("cards disagree about the size-2 interval")
         icode = icodes.pop()
+        positions = set().union(*(spots for _, _, spots in evidence))
         positions = _edge_consistent(k, icode, positions, total_edges)
         if not positions:
             raise DeckIntegrityError("no inflation point matches the recovered edge count")
@@ -483,7 +506,7 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     dk, non = _cards(d).split(k)
     if len(dk) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
-    total_edges = edge_count_from_deck(d)
+    total_edges = _cards(d).edge_count()
     if is_critically_indecomposable(k):
         icode, positions = _pair_critical(d, k, non, total_edges)
     else:
@@ -513,64 +536,45 @@ def in_family_F(g: Graph) -> bool:
     return True
 
 
-def in_family_G(g: Graph) -> bool:
-    """No pseudo-similar vertices, and orbits of every card lift to orbits of g."""
+def _lifting_vertices(g: Graph) -> list[int]:
+    """Vertices w such that no vertex outside w's orbit has w's card, and the
+    orbits of w's card lift back to orbits of g."""
     if g.n > FAMILY_TEST_LIMIT:
         raise CapabilityError(f"family test limited to {FAMILY_TEST_LIMIT} vertices")
     oix = orbit_index(automorphism_orbits(g))
     cards = [canonical_form(g.delete_vertex(v)) for v in range(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if cards[u] == cards[v] and oix[u] != oix[v]:
-                return False
-    for w in range(g.n):
-        back = [x for x in range(g.n) if x != w]
-        for orb in automorphism_orbits(g.delete_vertex(w)):
-            if len({oix[back[i]] for i in orb}) > 1:
-                return False
-    return True
-
-
-def _relaxed_witnesses(k: Graph) -> list[int]:
-    if k.n > FAMILY_TEST_LIMIT:
-        raise CapabilityError(f"family test limited to {FAMILY_TEST_LIMIT} vertices")
-    if not is_indecomposable(k):
-        raise ValueError("the relaxed condition applies to indecomposable graphs")
-    oix = orbit_index(automorphism_orbits(k))
-    cards = [canonical_form(k.delete_vertex(v)) for v in range(k.n)]
     out = []
-    for kp in range(k.n):
-        sub = k.delete_vertex(kp)
-        if not is_indecomposable(sub):
+    for w in range(g.n):
+        if any(cards[x] == cards[w] and oix[x] != oix[w] for x in range(g.n)):
             continue
-        if any(cards[x] == cards[kp] and oix[x] != oix[kp] for x in range(k.n)):
-            continue
-        back = [x for x in range(k.n) if x != kp]
-        if any(
-            len({oix[back[i]] for i in orb}) > 1
-            for orb in automorphism_orbits(sub)
+        back = [x for x in range(g.n) if x != w]
+        if all(
+            len({oix[back[i]] for i in orb}) == 1
+            for orb in automorphism_orbits(g.delete_vertex(w))
         ):
-            continue
-        out.append(kp)
+            out.append(w)
     return out
+
+
+def in_family_G(g: Graph) -> bool:
+    """No pseudo-similar vertices, and orbits of every card lift to orbits of g."""
+    return len(_lifting_vertices(g)) == g.n
+
+
+def _relaxed_witnesses(k: Graph, lifting: list[int]) -> list[int]:
+    return [w for w in lifting if is_indecomposable(k.delete_vertex(w))]
 
 
 def relaxed_skeleton_condition(k: Graph) -> bool:
     """Some vertex deletion keeps k indecomposable, similar deletions stay in
     one orbit, and the card's orbits lift back to k."""
-    return bool(_relaxed_witnesses(k))
+    lifting = _lifting_vertices(k)
+    if not is_indecomposable(k):
+        raise ValueError("the relaxed condition applies to indecomposable graphs")
+    return bool(_relaxed_witnesses(k, lifting))
 
 
 # -- degenerate graphs ---------------------------------------------------------
-
-
-def _degenerate_deck_kind(d: Deck) -> Kind | None:
-    cards = card_graphs(d)
-    if sum(1 for c in cards if c.is_connected()) <= 1:
-        return Kind.PARALLEL
-    if sum(1 for c in cards if c.complement().is_connected()) <= 1:
-        return Kind.SERIES
-    return None
 
 
 def _component_keys(_: int, g: Graph) -> list[tuple[int, str]]:
@@ -587,22 +591,31 @@ def _rebuild_from_components(n: int, cards: list[Graph]) -> Graph:
     return disjoint_union(parts)
 
 
-def reconstruct_degenerate(d: Deck) -> Graph:
-    """The unique graph with deck d, for decks of degenerate graphs.
+def _degenerate_rebuild(n: int, cards: list[Graph]) -> Graph | None:
+    """The degenerate graph behind the n cards, or None when more than one
+    card is connected and more than one is co-connected, which no deck of a
+    degenerate graph allows.
 
-    Works by pooling components across cards and repeatedly removing the
-    largest one together with the components attributable to it; the series
-    case goes through complementation.
+    Pools components across cards and repeatedly removes the largest one
+    together with the components attributable to it; the series case goes
+    through complementation.
     """
+    if sum(1 for c in cards if c.is_connected()) <= 1:
+        return _rebuild_from_components(n, cards)
+    flipped = [c.complement() for c in cards]
+    if sum(1 for c in flipped if c.is_connected()) <= 1:
+        return _rebuild_from_components(n, flipped).complement()
+    return None
+
+
+def reconstruct_degenerate(d: Deck) -> Graph:
+    """The unique graph with deck d, for decks of degenerate graphs."""
     if d.n < 3:
         raise ValueError("degenerate reconstruction needs at least three cards")
-    kind = _degenerate_deck_kind(d)
-    if kind is None:
+    g = _degenerate_rebuild(d.n, _cards(d).graphs)
+    if g is None:
         raise DeckIntegrityError("deck does not come from a degenerate graph")
-    if kind is Kind.PARALLEL:
-        return _rebuild_from_components(d.n, card_graphs(d))
-    flipped = _rebuild_from_components(d.n, [c.complement() for c in card_graphs(d)])
-    return flipped.complement()
+    return g
 
 
 # -- full reconstruction dispatch ----------------------------------------------
@@ -615,8 +628,6 @@ def _inflate_at(k: Graph, pos: int, part: Graph) -> Graph:
 def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
     tagged = intervals_multi(d, k)
     orbs = automorphism_orbits(k)
-    oix = orbit_index(orbs)
-    inv_k = _position_map(k)
     full: Counter[tuple[int, str]] = Counter(
         (t, canonical_form(p)) for t, p in tagged
     )
@@ -651,20 +662,13 @@ def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
         if target[(t, code)] == 0:
             del target[(t, code)]
         target[(t, shrunk)] += 1
+        orbit_tagged = _orbit_tagger(k)
         for card_code in sorted(set(dk)):
             dec = cards.prime(card_code)
-            labs = canonical_labeling(dec.skeleton)
-            tags = [oix[inv_k[labs[pos]]] for pos, _ in dec.intervals]
-            cm = Counter(
-                (tags[pos], canonical_form(p)) for pos, p in dec.intervals
-            )
-            if cm != target:
+            keys = [(tag, canonical_form(p)) for tag, p in orbit_tagged(dec)]
+            if Counter(keys) != target:
                 continue
-            hits = [
-                pos
-                for pos, p in dec.intervals
-                if tags[pos] == t and canonical_form(p) == shrunk
-            ]
+            hits = [pos for pos, key in enumerate(keys) if key == (t, shrunk)]
             if len(hits) != 1:
                 raise DeckIntegrityError("shrunken interval position is not unique")
             parts = [
@@ -724,51 +728,45 @@ def _reconstruct_single_large(d: Deck, k: Graph) -> tuple[Graph, str]:
     return _splice_unique(cards.prime(min(dk)), part), "single large interval splice"
 
 
-def _relaxed_positions(d: Deck, k: Graph, icode: str, total_edges: int) -> set[int]:
+def _relaxed_positions(d: Deck, k: Graph, witnesses: list[int], icode: str) -> set[int]:
     """Evidence-consistent positions restricted to witness deletion classes."""
-    witnesses = _relaxed_witnesses(k)
-    wcodes = {canonical_form(k.delete_vertex(kp)): kp for kp in witnesses}
+    wcodes = {canonical_form(k.delete_vertex(w)) for w in witnesses}
     positions: set[int] = set()
     seen_classes: set[str] = set()
-    for _, dec, _, code in _order1_cards(d, k):
-        if code not in wcodes:
-            continue
-        seen_classes.add(code)
-        lone = _lone_nonsingleton(dec)
-        if lone is None or lone[1].n != 2:
-            raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
-        positions |= _consistent_positions(k, dec.skeleton, lone[0])
-    for code in wcodes:
-        if code in seen_classes:
-            continue
+    for code, _, spots in _order1_evidence(d, k):
+        if code in wcodes:
+            seen_classes.add(code)
+            positions |= spots
+    for code in wcodes - seen_classes:
         # No card shows this witness class, so no singleton deletion produces
         # it; the inflated vertex itself must sit in the class.
         positions.update(
             v for v in range(k.n) if canonical_form(k.delete_vertex(v)) == code
         )
-    return _edge_consistent(k, icode, positions, total_edges)
+    return _edge_consistent(k, icode, positions, _cards(d).edge_count())
 
 
 def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
     part, positions = interval_single_pair(d, k)
-    pos_set = set(positions)
-    icode = canonical_form(part)
-    total_edges = edge_count_from_deck(d)
     oix = orbit_index(automorphism_orbits(k))
     if is_critically_indecomposable(k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
     if not _order1_cards(d, k):
-        if len(pos_set) != 1:
+        if len(positions) != 1:
             raise DeckIntegrityError("unique inflation point expected")
-        return _inflate_at(k, pos_set.pop(), part), "size-two interval at unique position"
-    if k.n <= FAMILY_TEST_LIMIT and in_family_G(k):
-        chosen = pos_set
+        return _inflate_at(k, positions[0], part), "size-two interval at unique position"
+    # the per-vertex test decides family G (every vertex passes) and the
+    # relaxed condition (some passing vertex deletion stays indecomposable)
+    lifting = _lifting_vertices(k) if k.n <= FAMILY_TEST_LIMIT else []
+    if len(lifting) == k.n:
+        chosen = set(positions)
         provenance = "size-two interval, orbit identified"
-    elif k.n <= FAMILY_TEST_LIMIT and relaxed_skeleton_condition(k):
-        chosen = _relaxed_positions(d, k, icode, total_edges)
-        provenance = "size-two interval, orbit identified (relaxed)"
     else:
-        raise UnsupportedCase("size-two interval with unidentifiable orbit")
+        witnesses = _relaxed_witnesses(k, lifting)
+        if not witnesses:
+            raise UnsupportedCase("size-two interval with unidentifiable orbit")
+        chosen = _relaxed_positions(d, k, witnesses, canonical_form(part))
+        provenance = "size-two interval, orbit identified (relaxed)"
     if not chosen or len({oix[p] for p in chosen}) != 1:
         raise DeckIntegrityError("inflation points span several orbits")
     return _inflate_at(k, min(chosen), part), provenance
@@ -781,35 +779,31 @@ def _unsupported(reason: str) -> ReconstructionResult:
 def _reconstruct_core(d: Deck) -> ReconstructionResult:
     if d.n < 3:
         return _unsupported("decks with fewer than three cards are ambiguous in general")
-    if _degenerate_deck_kind(d) is not None:
-        try:
-            g = reconstruct_degenerate(d)
-        except DeckIntegrityError as exc:
-            return _unsupported(str(exc))
-        if not deck_equal(make_deck(g), d):
-            return _unsupported(NOT_DECOMPOSABLE)
-        return ReconstructionResult(
-            "reconstructed", graph=g, provenance="degenerate components"
-        )
     try:
-        k = skeleton_from_deck(d)
-        s = singleton_count(d, k)
-        m = k.n - s
-        if m >= 2:
-            g, provenance = _reconstruct_multi(d, k)
-        elif m == 1 and d.n - s >= 3:
-            g, provenance = _reconstruct_single_large(d, k)
-        elif m == 1 and d.n - s == 2:
-            g, provenance = _reconstruct_single_pair(d, k)
-        else:
-            return _unsupported(NOT_DECOMPOSABLE)
-    except UnsupportedCase as exc:
-        return _unsupported(exc.reason)
-    except DeckIntegrityError:
-        return _unsupported(NOT_DECOMPOSABLE)
-    except CapabilityError as exc:
+        g = _degenerate_rebuild(d.n, _cards(d).graphs)
+    except DeckIntegrityError as exc:
         return _unsupported(str(exc))
-    if not deck_equal(make_deck(g), d):
+    provenance = "degenerate components"
+    if g is None:
+        try:
+            k = skeleton_from_deck(d)
+            s = singleton_count(d, k)
+            m = k.n - s
+            if m >= 2:
+                g, provenance = _reconstruct_multi(d, k)
+            elif m == 1 and d.n - s >= 3:
+                g, provenance = _reconstruct_single_large(d, k)
+            elif m == 1 and d.n - s == 2:
+                g, provenance = _reconstruct_single_pair(d, k)
+            else:
+                return _unsupported(NOT_DECOMPOSABLE)
+        except UnsupportedCase as exc:
+            return _unsupported(exc.reason)
+        except DeckIntegrityError:
+            return _unsupported(NOT_DECOMPOSABLE)
+        except CapabilityError as exc:
+            return _unsupported(str(exc))
+    if make_deck(g) != d:
         return _unsupported(NOT_DECOMPOSABLE)
     return ReconstructionResult("reconstructed", graph=g, provenance=provenance)
 

@@ -120,6 +120,15 @@ def test_missing_deck_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_non_utf8_files_exit_2(capsys, tmp_path):
+    path = tmp_path / "bin"
+    path.write_bytes(b"\xff\xfe\x00D\x00L\x00o\n")
+    for argv in (("reconstruct", str(path)), ("decompose", f"@{path}")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: cannot read"), argv
+
+
 def test_unknown_claim_exits_2(capsys):
     code, _, err = run(capsys, "verify", "no-such-claim")
     assert code == 2

@@ -165,15 +165,15 @@ def test_cli_answers_garbage_with_an_exit_code(capsys, tmp_path):
     capsys.readouterr()
 
 
+def _outcome(res):
+    return (res.status, res.provenance, res.reason, res.graph and canonical_form(res.graph))
+
+
 def _labelling_free(g):
     dec = decompose(g)
     skel = canonical_form(dec.skeleton) if dec.kind is Kind.PRIME else None
     res = reconstruct(make_deck(g)) if dec.kind is not Kind.INDECOMPOSABLE else None
-    outcome = (
-        (res.status, res.provenance, res.reason, res.graph and canonical_form(res.graph))
-        if res
-        else None
-    )
+    outcome = _outcome(res) if res else None
     return (
         canonical_form(g),
         g.relabel(canonical_labeling(g)),
@@ -187,9 +187,22 @@ def _labelling_free(g):
     )
 
 
+def _relabelled_deck(g, rng):
+    """Deck(n, cards) from g's cards, each relabelled at random, in random order."""
+    cards = []
+    for v in range(g.n):
+        card = g.delete_vertex(v)
+        perm = list(range(card.n))
+        rng.shuffle(perm)
+        cards.append(card.relabel(perm).to_graph6())
+    rng.shuffle(cards)
+    return Deck(g.n, tuple(cards))
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_results_do_not_depend_on_the_labelling(n):
     rng = random.Random(35 + n)
+    deck_rng = random.Random(135 + n)
     for _ in range(40):
         g = random_graph(n, rng, rng.random())
         want = _labelling_free(g)
@@ -197,3 +210,6 @@ def test_results_do_not_depend_on_the_labelling(n):
             perm = list(range(n))
             rng.shuffle(perm)
             assert _labelling_free(g.relabel(perm)) == want, (g, perm)
+        d = _relabelled_deck(g, deck_rng)
+        assert d == make_deck(g), g
+        assert _outcome(reconstruct(d)) == _outcome(reconstruct(make_deck(g))), g

@@ -7,16 +7,17 @@ from deckrecon import (
     DeckError,
     DeckIntegrityError,
     canonical_form,
-    card_graphs,
     complete_graph,
     cycle_graph,
-    deck_equal,
     edge_count_from_deck,
     empty_graph,
+    inflate,
+    is_isomorphic,
     load_deck,
     make_deck,
     parse_deck_text,
     path_graph,
+    reconstruct,
     save_deck,
 )
 
@@ -38,16 +39,25 @@ def test_deck_validation():
     with pytest.raises(DeckError):
         Deck(4, (p4,) * 4)  # card order 4 != n-1
     a, b = sorted([canonical_form(empty_graph(2)), canonical_form(complete_graph(2))])
-    with pytest.raises(DeckError):
-        Deck(3, (b, a, a))  # unsorted
+    assert Deck(3, (b, a, a)).cards == (a, a, b)  # cards are sorted
+
+
+def test_deck_canonicalises_relabelled_cards():
+    # C5 with one vertex inflated to K2; DJs is its card DJk relabelled
+    g = inflate(cycle_graph(5), [complete_graph(2)] + [empty_graph(1)] * 4)
+    d = make_deck(g)
+    assert d.cards == ("DJk", "DJk", "DK[", "DK[", "DLo", "DLo")
+    relabelled = Deck(6, ("DJk", "DJs", "DK[", "DK[", "DLo", "DLo"))
+    assert relabelled == d
+    res = reconstruct(relabelled)
+    assert res.reconstructed and is_isomorphic(res.graph, g)
 
 
 def test_deck_equal_and_cards():
     d1 = make_deck(cycle_graph(4))
     d2 = make_deck(cycle_graph(4).relabel([2, 0, 3, 1]))
-    assert deck_equal(d1, d2)
-    assert not deck_equal(d1, make_deck(path_graph(4)))
-    assert [g.n for g in card_graphs(d1)] == [3, 3, 3, 3]
+    assert d1 == d2
+    assert d1 != make_deck(path_graph(4))
 
 
 def test_edge_count_identity_random():
@@ -70,16 +80,16 @@ def test_edge_count_rejects_inconsistent_deck():
 def test_parse_deck_text_and_files(tmp_path, c5):
     d = make_deck(c5)
     text = "# a comment\n\n" + "\n".join(d.cards) + "\n"
-    assert deck_equal(parse_deck_text(text), d)
+    assert parse_deck_text(text) == d
     path = tmp_path / "deck.g6"
     save_deck(d, path)
-    assert deck_equal(load_deck(path), d)
+    assert load_deck(path) == d
 
 
 def test_parse_deck_text_canonicalises_cards():
     g = path_graph(4)
     raw = "\n".join(g.delete_vertex(v).to_graph6() for v in range(4))
-    assert deck_equal(parse_deck_text(raw), make_deck(g))
+    assert parse_deck_text(raw) == make_deck(g)
 
 
 def test_parse_deck_text_rejects_bad_input():

@@ -242,19 +242,31 @@ def test_reconstruct_examples(c5, bull):
 def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
     # the package re-exports a function under the module's name
     rc = importlib.import_module("deckrecon.reconstruct")
+    dk = importlib.import_module("deckrecon.deck")
     decomposed = []
+    decoded = []
 
     def recording(g):
         decomposed.append(canonical_form(g))
         return decompose(g)
 
+    def decoding(code):
+        decoded.append(code)
+        return from_graph6(code)
+
     monkeypatch.setattr(rc, "decompose", recording)
+    monkeypatch.setattr(rc, "from_graph6", decoding)
+    monkeypatch.setattr(dk, "from_graph6", decoding)
     for g, provenance in branch_examples(c5, bull):
         d = make_deck(g)
+        rc._cards.cache_clear()
         decomposed.clear()
+        decoded.clear()
         assert_reconstructs(g, provenance)
-        again = [code for code, q in Counter(decomposed).items() if q > 1 and code in d.cards]
-        assert not again, (provenance, again)
+        assert decoded, provenance
+        for calls in (decomposed, decoded):
+            again = [code for code, q in Counter(calls).items() if q > 1 and code in d.cards]
+            assert not again, (provenance, again)
 
 
 def test_reconstruct_outcome_histogram_up_to_seven_vertices():
