@@ -38,8 +38,6 @@ from .modular import (
     inflate,
     is_critically_indecomposable,
     is_indecomposable,
-    is_module,
-    modules,
     skeleton,
 )
 from .reconstruct import (

@@ -8,8 +8,6 @@ from enum import Enum
 from .canon import CapabilityError
 from .graphs import Graph, _bits
 
-MODULE_VERTEX_LIMIT = 20
-
 
 class Kind(str, Enum):
     INDECOMPOSABLE = "indecomposable"
@@ -55,18 +53,6 @@ def _closure(g: Graph, mask: int) -> int:
 def is_module(g: Graph, mask: int) -> bool:
     """True iff every vertex outside mask sees all of mask or none of it."""
     return _closure(g, mask) == mask
-
-
-def modules(g: Graph) -> list[tuple[int, ...]]:
-    """Every nonempty module as a sorted vertex tuple (singletons and V included)."""
-    if g.n > MODULE_VERTEX_LIMIT:
-        raise CapabilityError(f"module scan limited to {MODULE_VERTEX_LIMIT} vertices")
-    found = []
-    for mask in range(1, 1 << g.n):
-        if is_module(g, mask):
-            found.append(tuple(_bits(mask)))
-    found.sort(key=lambda t: (len(t), t))
-    return found
 
 
 def is_indecomposable(g: Graph) -> bool:

@@ -31,6 +31,7 @@ from .deck import Deck, edge_count_from_deck, make_deck
 from .graphs import Graph, from_graph6
 from .modular import (
     Kind,
+    ModularDecomposition,
     critically_indecomposable,
     decompose,
     indecomposable_masks,
@@ -158,10 +159,64 @@ class ClaimReport:
         }
 
 
-def _catalog_range(lo: int, hi: int):
-    for n in range(lo, hi + 1):
-        for code in enumerate_graphs(n).classes:
-            yield code, from_graph6(code)
+def _sweep(lo: int, cases, hi: int | None = None):
+    """The CLAIMS entry (lo, claim) of a claim tested graph by graph.
+
+    claim(max_n) runs cases(g) on every catalog graph on lo..max_n vertices.
+    Each (label, ok) it yields is one test; a failing test's witness is the
+    graph's code followed by label. A claim given its own top order hi stops
+    there; any other refuses a max_n past the catalogs before it examines a
+    graph.
+    """
+
+    def claim(max_n: int):
+        if hi is None and max_n > ENUMERATION_LIMIT:
+            raise CapabilityError(f"enumeration limited to {ENUMERATION_LIMIT} vertices")
+        top = max_n if hi is None else min(max_n, hi)
+        tested, witnesses = 0, []
+        for n in range(lo, top + 1):
+            for code in enumerate_graphs(n).classes:
+                for label, ok in cases(from_graph6(code)):
+                    tested += 1
+                    if not ok:
+                        witnesses.append(code + label)
+        return tested, witnesses
+
+    return lo, claim
+
+
+def _nonsingletons(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
+    return [(pos, p) for pos, p in dec.intervals if p.n >= 2]
+
+
+def _on_prime(cases):
+    """Restrict cases(g, dec, nons) to graphs with a prime quotient: dec is
+    the decomposition and nons its (position, interval) pairs on 2+ vertices."""
+
+    def prime_cases(g: Graph):
+        dec = decompose(g)
+        if dec.kind is Kind.PRIME:
+            yield from cases(g, dec, _nonsingletons(dec))
+
+    return prime_cases
+
+
+def _holds(test) -> bool:
+    """test(), with a raised ValueError counted as a failure."""
+    try:
+        return test()
+    except ValueError:
+        return False
+
+
+def _deleted_indecomposable(g: Graph) -> tuple[list[int], list[int]]:
+    """Vertex masks of the indecomposable induced subgraphs of g on n-1
+    vertices, and those on n-2 vertices."""
+    table = indecomposable_masks(g)
+    full = (1 << g.n) - 1
+    one = [full ^ (1 << v) for v in range(g.n)]
+    two = [full ^ (1 << u) ^ (1 << v) for u, v in combinations(range(g.n), 2)]
+    return [m for m in one if table[m]], [m for m in two if table[m]]
 
 
 def _claim_fig1_counts(max_n: int):
@@ -171,7 +226,7 @@ def _claim_fig1_counts(max_n: int):
         if n > max_n:
             continue
         tested += 1
-        got = sum(1 for _, g in _catalog_range(n, n) if is_indecomposable(g))
+        got = sum(1 for g in catalog_graphs(n) if is_indecomposable(g))
         if got != want:
             witnesses.append(f"n={n}: counted {got}, expected {want}")
     return tested, witnesses
@@ -185,185 +240,104 @@ def _claim_fig2_criticality(max_n: int):
         for complemented in (False, True):
             g = critically_indecomposable(n, complemented)
             tested += 1
-            table = indecomposable_masks(g)
-            full = (1 << n) - 1
-            ok = (
-                is_indecomposable(g)
-                and not any(table[full ^ (1 << v)] for v in range(n))
-                and any(
-                    table[full ^ (1 << u) ^ (1 << v)]
-                    for u, v in combinations(range(n), 2)
-                )
-            )
-            if not ok:
+            one, two = _deleted_indecomposable(g)
+            if not (is_indecomposable(g) and not one and two):
                 witnesses.append(g.to_graph6())
     return tested, witnesses
 
 
-def _claim_thm_2_2(max_n: int):
+def _thm_2_2(g: Graph):
     # every indecomposable graph keeps an indecomposable subgraph on n-1 or n-2
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(4, max_n):
-        if not is_indecomposable(g):
-            continue
-        tested += 1
-        table = indecomposable_masks(g)
-        full = (1 << g.n) - 1
-        if not (
-            any(table[full ^ (1 << v)] for v in range(g.n))
-            or any(
-                table[full ^ (1 << u) ^ (1 << v)]
-                for u, v in combinations(range(g.n), 2)
-            )
-        ):
-            witnesses.append(code)
-    return tested, witnesses
+    if is_indecomposable(g):
+        one, two = _deleted_indecomposable(g)
+        yield "", bool(one or two)
 
 
-def _claim_lem_2_3(max_n: int):
+def _lem_2_3(g: Graph):
     # an indecomposable subgraph on 3..n-2 vertices extends by two vertices
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(5, max_n):
-        if not is_indecomposable(g):
+    if not is_indecomposable(g):
+        return
+    table = indecomposable_masks(g)
+    for mask in range(1 << g.n):
+        if not 3 <= mask.bit_count() <= g.n - 2 or not table[mask]:
             continue
-        table = indecomposable_masks(g)
-        full = (1 << g.n) - 1
-        for mask in range(1 << g.n):
-            size = mask.bit_count()
-            if not 3 <= size <= g.n - 2 or not table[mask]:
-                continue
-            tested += 1
-            outside = [v for v in range(g.n) if not mask >> v & 1]
-            if not any(
-                table[mask | (1 << u) | (1 << v)]
-                for u, v in combinations(outside, 2)
-            ):
-                witnesses.append(f"{code} subset={bin(mask)}")
-    return tested, witnesses
+        outside = [v for v in range(g.n) if not mask >> v & 1]
+        yield f" subset={bin(mask)}", any(
+            table[mask | (1 << u) | (1 << v)] for u, v in combinations(outside, 2)
+        )
 
 
-def _claim_cor_2_5(max_n: int):
+def _cor_2_5(g: Graph):
     # every vertex of an indecomposable graph (n >= 6) sits inside an
     # indecomposable subgraph on n-1 or n-2 vertices
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(6, max_n):
-        if not is_indecomposable(g):
-            continue
-        table = indecomposable_masks(g)
-        full = (1 << g.n) - 1
-        for v in range(g.n):
-            tested += 1
-            ok = any(table[full ^ (1 << u)] for u in range(g.n) if u != v) or any(
-                table[full ^ (1 << a) ^ (1 << b)]
-                for a, b in combinations((u for u in range(g.n) if u != v), 2)
-            )
-            if not ok:
-                witnesses.append(f"{code} vertex={v}")
-    return tested, witnesses
+    if not is_indecomposable(g):
+        return
+    one, two = _deleted_indecomposable(g)
+    covered = 0
+    for m in one + two:
+        covered |= m
+    for v in range(g.n):
+        yield f" vertex={v}", bool(covered >> v & 1)
 
 
-def _claim_lem_3_1(max_n: int):
+@_on_prime
+def _lem_3_1(g: Graph, dec, nons):
     # each card's skeleton embeds in the skeleton of the whole graph
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(4, max_n):
-        if decompose(g).kind is not Kind.PRIME:
-            continue
-        k = skeleton(g)
-        for v in range(g.n):
-            tested += 1
-            if not has_induced_subgraph(k, skeleton(g.delete_vertex(v))):
-                witnesses.append(f"{code} vertex={v}")
-    return tested, witnesses
+    for v in range(g.n):
+        yield f" vertex={v}", has_induced_subgraph(dec.skeleton, skeleton(g.delete_vertex(v)))
 
 
-def _claim_thm_3_2(max_n: int):
+@_on_prime
+def _thm_3_2(g: Graph, dec, nons):
     # the skeleton is the unique largest card skeleton, and the number of
     # cards with a different skeleton equals the number of singleton intervals
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(4, max_n):
-        dec = decompose(g)
-        if dec.kind is not Kind.PRIME:
-            continue
-        tested += 1
-        d = make_deck(g)
-        try:
-            k = skeleton_from_deck(d)
-            singles = sum(1 for _, p in dec.intervals if p.n == 1)
-            ok = is_isomorphic(k, dec.skeleton) and singleton_count(d, k) == singles
-        except ValueError:
-            ok = False
-        if not ok:
-            witnesses.append(code)
-    return tested, witnesses
+    d = make_deck(g)
+
+    def recovered():
+        k = skeleton_from_deck(d)
+        singles = len(dec.intervals) - len(nons)
+        return is_isomorphic(k, dec.skeleton) and singleton_count(d, k) == singles
+
+    yield "", _holds(recovered)
 
 
 def _true_tagged_intervals(dec) -> Counter:
     oix = orbit_index(automorphism_orbits(dec.skeleton))
-    return Counter(
-        (oix[pos], canonical_form(p)) for pos, p in dec.intervals if p.n >= 2
-    )
+    return Counter((oix[pos], canonical_form(p)) for pos, p in _nonsingletons(dec))
 
 
-def _claim_lem_3_4(max_n: int):
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(4, max_n):
-        dec = decompose(g)
-        if dec.kind is not Kind.PRIME:
-            continue
-        if sum(1 for _, p in dec.intervals if p.n >= 2) < 2:
-            continue
-        tested += 1
-        try:
-            got = Counter(
-                (t, canonical_form(p))
-                for t, p in intervals_multi(make_deck(g), dec.skeleton)
-            )
-            ok = got == _true_tagged_intervals(dec)
-        except ValueError:
-            ok = False
-        if not ok:
-            witnesses.append(code)
-    return tested, witnesses
+@_on_prime
+def _lem_3_4(g: Graph, dec, nons):
+    if len(nons) < 2:
+        return
+
+    def recovered():
+        got = intervals_multi(make_deck(g), dec.skeleton)
+        return Counter((t, canonical_form(p)) for t, p in got) == _true_tagged_intervals(dec)
+
+    yield "", _holds(recovered)
 
 
-def _claim_lem_3_5(max_n: int):
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(4, max_n):
-        dec = decompose(g)
-        if dec.kind is not Kind.PRIME:
-            continue
-        nons = [p for _, p in dec.intervals if p.n >= 2]
-        if len(nons) != 1 or nons[0].n < 3:
-            continue
-        tested += 1
-        try:
-            got = interval_single_large(make_deck(g), dec.skeleton)
-            ok = is_isomorphic(got, nons[0])
-        except ValueError:
-            ok = False
-        if not ok:
-            witnesses.append(code)
-    return tested, witnesses
+@_on_prime
+def _lem_3_5(g: Graph, dec, nons):
+    if len(nons) == 1 and nons[0][1].n >= 3:
+        part = nons[0][1]
+        yield "", _holds(
+            lambda: is_isomorphic(interval_single_large(make_deck(g), dec.skeleton), part)
+        )
 
 
-def _claim_lem_3_6(max_n: int):
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(4, max_n):
-        dec = decompose(g)
-        if dec.kind is not Kind.PRIME:
-            continue
-        nons = [(pos, p) for pos, p in dec.intervals if p.n >= 2]
-        if len(nons) != 1 or nons[0][1].n != 2:
-            continue
-        tested += 1
-        try:
-            got, positions = interval_single_pair(make_deck(g), dec.skeleton)
-            ok = is_isomorphic(got, nons[0][1]) and nons[0][0] in positions
-        except ValueError:
-            ok = False
-        if not ok:
-            witnesses.append(code)
-    return tested, witnesses
+@_on_prime
+def _lem_3_6(g: Graph, dec, nons):
+    if len(nons) != 1 or nons[0][1].n != 2:
+        return
+    pos, part = nons[0]
+
+    def recovered():
+        got, positions = interval_single_pair(make_deck(g), dec.skeleton)
+        return is_isomorphic(got, part) and pos in positions
+
+    yield "", _holds(recovered)
 
 
 def _splice_condition_holds(dec) -> bool:
@@ -388,86 +362,42 @@ def _reconstructs(g: Graph) -> bool:
     return res.reconstructed and is_isomorphic(res.graph, g)
 
 
-def _claim_thm_4_1(max_n: int):
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(5, max_n):
-        dec = decompose(g)
-        if dec.kind is not Kind.PRIME:
-            continue
-        if sum(1 for _, p in dec.intervals if p.n >= 2) < 2:
-            continue
-        if not _splice_condition_holds(dec):
-            continue
-        tested += 1
-        if not _reconstructs(g):
-            witnesses.append(code)
-    return tested, witnesses
+@_on_prime
+def _thm_4_1(g: Graph, dec, nons):
+    if len(nons) >= 2 and _splice_condition_holds(dec):
+        yield "", _reconstructs(g)
 
 
-def _claim_cor_4_2(max_n: int):
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(5, max_n):
-        dec = decompose(g)
-        if dec.kind is not Kind.PRIME:
-            continue
-        if sum(1 for _, p in dec.intervals if p.n >= 2) < 2:
-            continue
-        if any(len(o) > 1 for o in automorphism_orbits(dec.skeleton)):
-            continue
-        tested += 1
-        if not _reconstructs(g):
-            witnesses.append(code)
-    return tested, witnesses
+@_on_prime
+def _cor_4_2(g: Graph, dec, nons):
+    if len(nons) >= 2 and all(len(o) == 1 for o in automorphism_orbits(dec.skeleton)):
+        yield "", _reconstructs(g)
 
 
-def _claim_cor_4_3(max_n: int):
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(4, max_n):
-        dec = decompose(g)
-        if dec.kind is Kind.INDECOMPOSABLE:
-            continue
-        if dec.kind is Kind.PRIME:
-            if sum(1 for _, p in dec.intervals if p.n >= 2) < 2:
-                continue
-            if len(automorphism_orbits(dec.skeleton)) != 1:
-                continue
-        tested += 1
-        if not _reconstructs(g):
-            witnesses.append(code)
-    return tested, witnesses
+def _cor_4_3(g: Graph):
+    dec = decompose(g)
+    if dec.kind is Kind.INDECOMPOSABLE:
+        return
+    if dec.kind is Kind.PRIME:
+        if len(_nonsingletons(dec)) < 2 or len(automorphism_orbits(dec.skeleton)) != 1:
+            return
+    yield "", _reconstructs(g)
 
 
-def _claim_thm_4_6(max_n: int):
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(5, max_n):
-        dec = decompose(g)
-        if dec.kind is not Kind.PRIME:
-            continue
-        nons = [p for _, p in dec.intervals if p.n >= 2]
-        if len(nons) != 1 or nons[0].n != 2:
-            continue
-        if not in_family_G(dec.skeleton):
-            continue
-        tested += 1
-        if not _reconstructs(g):
-            witnesses.append(code)
-    return tested, witnesses
+@_on_prime
+def _thm_4_6(g: Graph, dec, nons):
+    if len(nons) == 1 and nons[0][1].n == 2 and in_family_G(dec.skeleton):
+        yield "", _reconstructs(g)
 
 
 def _claim_recognition(max_n: int):
     # indecomposability is decided by the deck: deck-equal graphs agree on it
     tested, witnesses = 0, []
     for n in range(3, min(max_n, 6) + 1):
-        groups: dict[tuple[str, ...], set[bool]] = defaultdict(set)
-        names: dict[tuple[str, ...], list[str]] = defaultdict(list)
-        for code, g in _catalog_range(n, n):
-            cards = make_deck(g).cards
-            groups[cards].add(is_indecomposable(g))
-            names[cards].append(code)
-        for cards, flags in groups.items():
+        for codes in _deck_index(n).values():
             tested += 1
-            if len(flags) > 1:
-                witnesses.append(" ".join(names[cards]))
+            if len({is_indecomposable(from_graph6(code)) for code in codes}) > 1:
+                witnesses.append(" ".join(codes))
     return tested, witnesses
 
 
@@ -475,85 +405,70 @@ def _claim_rc_exhaustive(max_n: int):
     # decks determine graphs for 3 <= n <= 7; at n = 2 both graphs share a deck
     tested, witnesses = 0, []
     for n in range(3, min(max_n, 7) + 1):
-        groups: dict[tuple[str, ...], list[str]] = defaultdict(list)
-        for code, g in _catalog_range(n, n):
-            groups[make_deck(g).cards].append(code)
-        for cards, codes in groups.items():
+        for codes in _deck_index(n).values():
             tested += 1
             if len(codes) != 1:
-                witnesses.append(" ".join(sorted(codes)))
+                witnesses.append(" ".join(codes))
     if max_n >= 2:
         tested += 1
-        two = {make_deck(from_graph6(code)).cards for code in enumerate_graphs(2).classes}
-        if len(two) != 1:
+        if len(_deck_index(2)) != 1:
             witnesses.append("n=2 decks unexpectedly distinguish the two graphs")
     return tested, witnesses
 
 
-def _claim_kelly(max_n: int):
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(3, min(max_n, 7)):
-        tested += 1
-        if edge_count_from_deck(make_deck(g)) != g.edge_count():
-            witnesses.append(code)
-    return tested, witnesses
+def _kelly(g: Graph):
+    yield "", edge_count_from_deck(make_deck(g)) == g.edge_count()
 
 
-def _open_case(g: Graph) -> bool:
-    """Ground-truth check that g sits in a case the theory leaves open."""
-    dec = decompose(g)
+def _open_case(dec: ModularDecomposition) -> bool:
+    """Ground-truth check that the graph decomposed as dec sits in a case the
+    theory leaves open."""
     if dec.kind is not Kind.PRIME:
         return False
     k = dec.skeleton
-    nons = [p for _, p in dec.intervals if p.n >= 2]
+    nons = _nonsingletons(dec)
     if len(nons) >= 2:
         return not _splice_condition_holds(dec) and len(automorphism_orbits(k)) > 1
-    if len(nons) == 1 and nons[0].n == 2:
+    if len(nons) == 1 and nons[0][1].n == 2:
         return not in_family_G(k) and not relaxed_skeleton_condition(k)
     return False
 
 
-def _claim_reconstruction(max_n: int):
+def _reconstruction(g: Graph):
     # soundness over every decomposable graph: reconstruct the original or
     # report Unsupported only inside the open cases
-    tested, witnesses = 0, []
-    for code, g in _catalog_range(4, max_n):
-        dec = decompose(g)
-        if dec.kind is Kind.INDECOMPOSABLE:
-            continue
-        tested += 1
-        res = reconstruct(make_deck(g))
-        if res.reconstructed:
-            if not is_isomorphic(res.graph, g):
-                witnesses.append(f"{code} -> {canonical_form(res.graph)}")
-        elif res.status == "unsupported":
-            if not _open_case(g):
-                witnesses.append(f"{code} unsupported: {res.reason}")
-        else:
-            witnesses.append(f"{code} {res.status}")
-    return tested, witnesses
+    dec = decompose(g)
+    if dec.kind is Kind.INDECOMPOSABLE:
+        return
+    res = reconstruct(make_deck(g))
+    if res.reconstructed:
+        yield f" -> {canonical_form(res.graph)}", is_isomorphic(res.graph, g)
+    elif res.status == "unsupported":
+        yield f" unsupported: {res.reason}", _open_case(dec)
+    else:
+        yield f" {res.status}", False
 
 
 # claim id -> (smallest order the claim examines, check up to max_n)
 CLAIMS = {
     "fig1-counts": (3, _claim_fig1_counts),
     "fig2-criticality": (4, _claim_fig2_criticality),
-    "thm-2.2": (4, _claim_thm_2_2),
-    "lem-2.3": (5, _claim_lem_2_3),
-    "cor-2.5": (6, _claim_cor_2_5),
-    "lem-3.1": (4, _claim_lem_3_1),
-    "thm-3.2": (4, _claim_thm_3_2),
-    "lem-3.4": (4, _claim_lem_3_4),
-    "lem-3.5": (4, _claim_lem_3_5),
-    "lem-3.6": (4, _claim_lem_3_6),
-    "thm-4.1": (5, _claim_thm_4_1),
-    "cor-4.2": (5, _claim_cor_4_2),
-    "cor-4.3": (4, _claim_cor_4_3),
-    "thm-4.6": (5, _claim_thm_4_6),
+    "thm-2.2": _sweep(4, _thm_2_2),
+    "lem-2.3": _sweep(5, _lem_2_3),
+    "cor-2.5": _sweep(6, _cor_2_5),
+    "lem-3.1": _sweep(4, _lem_3_1),
+    "thm-3.2": _sweep(4, _thm_3_2),
+    "lem-3.4": _sweep(4, _lem_3_4),
+    "lem-3.5": _sweep(4, _lem_3_5),
+    "lem-3.6": _sweep(4, _lem_3_6),
+    "thm-4.1": _sweep(5, _thm_4_1),
+    "cor-4.2": _sweep(5, _cor_4_2),
+    "cor-4.3": _sweep(4, _cor_4_3),
+    "thm-4.6": _sweep(5, _thm_4_6),
     "recognition": (3, _claim_recognition),
     "rc-exhaustive": (2, _claim_rc_exhaustive),
-    "kelly": (3, _claim_kelly),
-    "reconstruction": (4, _claim_reconstruction),
+    "kelly": _sweep(3, _kelly, hi=7),
+    "reconstruction": _sweep(4, _reconstruction),
 }
 
 

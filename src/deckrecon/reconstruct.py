@@ -92,6 +92,7 @@ class _CardTable:
         self.deck = d
         self.decoded = {code: from_graph6(code) for code in dict.fromkeys(d.cards)}
         self.graphs = [self.decoded[code] for code in d.cards]
+        self._critical: dict[Graph, bool] = {}
 
     @cached_property
     def by_code(self) -> dict[str, _Card]:
@@ -113,6 +114,12 @@ class _CardTable:
         for code in self.deck.cards:
             (dk if self.by_code[code].skeleton_code == target else non).append(code)
         return dk, non
+
+    def critical(self, k: Graph) -> bool:
+        """Whether the skeleton k is critically indecomposable, tested once per deck."""
+        if k not in self._critical:
+            self._critical[k] = is_critically_indecomposable(k)
+        return self._critical[k]
 
     def prime(self, code: str) -> ModularDecomposition:
         dec = self.by_code[code].dec
@@ -507,7 +514,7 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     if len(dk) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
     total_edges = _cards(d).edge_count()
-    if is_critically_indecomposable(k):
+    if _cards(d).critical(k):
         icode, positions = _pair_critical(d, k, non, total_edges)
     else:
         icode, positions = _pair_generic(d, k, total_edges)
@@ -749,7 +756,7 @@ def _relaxed_positions(d: Deck, k: Graph, witnesses: list[int], icode: str) -> s
 def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
     part, positions = interval_single_pair(d, k)
     oix = orbit_index(automorphism_orbits(k))
-    if is_critically_indecomposable(k):
+    if _cards(d).critical(k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
     if not _order1_cards(d, k):
         if len(positions) != 1:
@@ -757,7 +764,7 @@ def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
         return _inflate_at(k, positions[0], part), "size-two interval at unique position"
     # the per-vertex test decides family G (every vertex passes) and the
     # relaxed condition (some passing vertex deletion stays indecomposable)
-    lifting = _lifting_vertices(k) if k.n <= FAMILY_TEST_LIMIT else []
+    lifting = _lifting_vertices(k)
     if len(lifting) == k.n:
         chosen = set(positions)
         provenance = "size-two interval, orbit identified"

@@ -3,6 +3,7 @@ import pytest
 from deckrecon import (
     CapabilityError,
     Deck,
+    ReconstructionResult,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -11,9 +12,11 @@ from deckrecon import (
     make_deck,
     path_graph,
 )
+from deckrecon import oracle
 from deckrecon.graphs import from_graph6
 from deckrecon.oracle import (
     CLAIMS,
+    ENUMERATION_LIMIT,
     KNOWN_COUNTS,
     ClaimRangeError,
     ClaimReport,
@@ -145,3 +148,54 @@ def test_cor_4_2_vacuous_below_eight_vertices():
     assert check_claim("cor-4.2", 7).tested == 0
     report = check_claim("cor-4.2", 8)
     assert report.ok and report.tested > 0
+
+
+def test_claims_past_the_catalogs_fail_before_examining_a_graph(monkeypatch):
+    # claims that cap their own range stop there; every other claim sweeps
+    # the catalogs and must refuse a larger max_n up front
+    capped = {"fig1-counts", "fig2-criticality", "recognition", "rc-exhaustive", "kelly"}
+    sweeping = sorted(set(CLAIMS) - capped)
+    assert len(sweeping) == 13
+    examined = []
+    monkeypatch.setattr(oracle, "enumerate_graphs", examined.append)
+    monkeypatch.setattr(oracle, "from_graph6", examined.append)
+    for name in sweeping:
+        with pytest.raises(CapabilityError, match="enumeration limited to 8 vertices"):
+            check_claim(name, ENUMERATION_LIMIT + 1)
+    assert examined == []
+
+
+def test_witness_formats(monkeypatch):
+    # no claim fails on the catalogs, so one check per kind is made to fail
+
+    # a per-graph claim names the graph
+    c5_deck = make_deck(cycle_graph(5))
+    edge_count = oracle.edge_count_from_deck
+    monkeypatch.setattr(
+        oracle,
+        "edge_count_from_deck",
+        lambda d: edge_count(d) + 1 if d == c5_deck else edge_count(d),
+    )
+    assert check_claim("kelly", 5).witnesses == (canonical_form(cycle_graph(5)),)
+
+    # a per-vertex claim names the graph and the vertex
+    p6 = from_graph6(canonical_form(path_graph(6)))
+    table = oracle.indecomposable_masks
+    monkeypatch.setattr(
+        oracle,
+        "indecomposable_masks",
+        lambda g: [False] * (1 << g.n) if g == p6 else table(g),
+    )
+    report = check_claim("cor-2.5", 6)
+    assert report.witnesses == tuple(f"{p6.to_graph6()} vertex={v}" for v in range(6))
+
+    # reconstruction names the graph and why it was left unsupported
+    c4_deck = make_deck(cycle_graph(4))
+    rebuild = oracle.reconstruct
+    monkeypatch.setattr(
+        oracle,
+        "reconstruct",
+        lambda d: ReconstructionResult("unsupported", reason="stub") if d == c4_deck else rebuild(d),
+    )
+    c4 = canonical_form(cycle_graph(4))
+    assert check_claim("reconstruction", 4).witnesses == (f"{c4} unsupported: stub",)

@@ -22,6 +22,7 @@ from deckrecon import (
     interval_single_large,
     interval_single_pair,
     intervals_multi,
+    is_critically_indecomposable,
     is_isomorphic,
     make_deck,
     orbit_index,
@@ -291,6 +292,31 @@ def test_reconstruct_outcome_histogram_up_to_seven_vertices():
     }
 
 
+def test_reconstruct_tests_criticality_once_per_pair_deck(monkeypatch):
+    # the package re-exports a function under the module's name
+    rc = importlib.import_module("deckrecon.reconstruct")
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return is_critically_indecomposable(k)
+
+    monkeypatch.setattr(rc, "is_critically_indecomposable", counting)
+    rc._cards.cache_clear()
+    pair_decks = 0
+    for n in range(4, 8):
+        for code in enumerate_graphs(n).classes:
+            g = from_graph6(code)
+            dec = decompose(g)
+            if dec.kind is Kind.INDECOMPOSABLE:
+                continue
+            if dec.kind is Kind.PRIME and sorted(p.n for _, p in dec.intervals)[-2:] == [1, 2]:
+                pair_decks += 1
+            reconstruct(make_deck(g))
+    assert pair_decks == 228
+    assert len(calls) == pair_decks
+
+
 def test_reconstruct_past_the_size_caps_is_unsupported():
     # 13-vertex skeletons exceed the 12-vertex orbit cap, both with several
     # intervals and with one size-two interval
@@ -299,6 +325,11 @@ def test_reconstruct_past_the_size_caps_is_unsupported():
         res = reconstruct(make_deck(inflate(p13, parts)))
         assert res.status == "unsupported"
         assert res.reason == "orbit computation limited to 12 vertices"
+    # an 11-vertex skeleton with one size-two interval is within the orbit
+    # cap but past the family test's
+    res = reconstruct(make_deck(inflate(path_graph(11), [K2] + [K1] * 10)))
+    assert res.status == "unsupported"
+    assert res.reason == "family test limited to 10 vertices"
 
 
 def test_reconstruct_a_24_vertex_graph():
