@@ -136,7 +136,7 @@ def oracle_preimages(d: Deck) -> list[Graph]:
 @dataclass(frozen=True)
 class ClaimReport:
     claim: str
-    max_n: int
+    max_n: int  # the requested max_n, capped at the claim's own largest order
     tested: int
     passed: int
     failed: int
@@ -160,19 +160,17 @@ class ClaimReport:
 
 
 def _sweep(lo: int, cases, hi: int | None = None):
-    """The CLAIMS entry (lo, claim) of a claim tested graph by graph.
+    """The CLAIMS entry (lo, hi, claim) of a claim tested graph by graph.
 
-    claim(max_n) runs cases(g) on every catalog graph on lo..max_n vertices.
+    claim(top) runs cases(g) on every catalog graph on lo..top vertices.
     Each (label, ok) it yields is one test; a failing test's witness is the
-    graph's code followed by label. A claim given its own top order hi stops
-    there; any other refuses a max_n past the catalogs before it examines a
-    graph.
+    graph's code followed by label. A top past the catalogs is refused
+    before any graph is examined.
     """
 
-    def claim(max_n: int):
-        if hi is None and max_n > ENUMERATION_LIMIT:
+    def claim(top: int):
+        if top > ENUMERATION_LIMIT:
             raise CapabilityError(f"enumeration limited to {ENUMERATION_LIMIT} vertices")
-        top = max_n if hi is None else min(max_n, hi)
         tested, witnesses = 0, []
         for n in range(lo, top + 1):
             for code in enumerate_graphs(n).classes:
@@ -182,7 +180,7 @@ def _sweep(lo: int, cases, hi: int | None = None):
                         witnesses.append(code + label)
         return tested, witnesses
 
-    return lo, claim
+    return lo, hi, claim
 
 
 def _nonsingletons(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
@@ -393,7 +391,7 @@ def _thm_4_6(g: Graph, dec, nons):
 def _claim_recognition(max_n: int):
     # indecomposability is decided by the deck: deck-equal graphs agree on it
     tested, witnesses = 0, []
-    for n in range(3, min(max_n, 6) + 1):
+    for n in range(3, max_n + 1):
         for codes in _deck_index(n).values():
             tested += 1
             if len({is_indecomposable(from_graph6(code)) for code in codes}) > 1:
@@ -404,7 +402,7 @@ def _claim_recognition(max_n: int):
 def _claim_rc_exhaustive(max_n: int):
     # decks determine graphs for 3 <= n <= 7; at n = 2 both graphs share a deck
     tested, witnesses = 0, []
-    for n in range(3, min(max_n, 7) + 1):
+    for n in range(3, max_n + 1):
         for codes in _deck_index(n).values():
             tested += 1
             if len(codes) != 1:
@@ -449,10 +447,11 @@ def _reconstruction(g: Graph):
         yield f" {res.status}", False
 
 
-# claim id -> (smallest order the claim examines, check up to max_n)
+# claim id -> (smallest order the claim examines, largest order it examines
+# or None for the requested max_n, check up to a given order)
 CLAIMS = {
-    "fig1-counts": (3, _claim_fig1_counts),
-    "fig2-criticality": (4, _claim_fig2_criticality),
+    "fig1-counts": (3, 5, _claim_fig1_counts),
+    "fig2-criticality": (4, 10, _claim_fig2_criticality),
     "thm-2.2": _sweep(4, _thm_2_2),
     "lem-2.3": _sweep(5, _lem_2_3),
     "cor-2.5": _sweep(6, _cor_2_5),
@@ -465,26 +464,28 @@ CLAIMS = {
     "cor-4.2": _sweep(5, _cor_4_2),
     "cor-4.3": _sweep(4, _cor_4_3),
     "thm-4.6": _sweep(5, _thm_4_6),
-    "recognition": (3, _claim_recognition),
-    "rc-exhaustive": (2, _claim_rc_exhaustive),
+    "recognition": (3, 6, _claim_recognition),
+    "rc-exhaustive": (2, 7, _claim_rc_exhaustive),
     "kelly": _sweep(3, _kelly, hi=7),
     "reconstruction": _sweep(4, _reconstruction),
 }
 
 
 def check_claim(name: str, max_n: int) -> ClaimReport:
-    """Exhaustively verify a registered claim up to max_n vertices."""
+    """Exhaustively verify a registered claim up to max_n vertices, or up to
+    its own largest order if that is smaller; the report gives the order used."""
     if name not in CLAIMS:
         raise UnknownClaimError(f"unknown claim {name!r}; known: {sorted(CLAIMS)}")
-    lo, claim = CLAIMS[name]
+    lo, hi, claim = CLAIMS[name]
     if max_n < lo:
         raise ClaimRangeError(f"claim {name} starts at n={lo}; max_n={max_n} tests nothing")
+    top = max_n if hi is None else min(max_n, hi)
     start = time.perf_counter()
-    tested, witnesses = claim(max_n)
+    tested, witnesses = claim(top)
     seconds = time.perf_counter() - start
     return ClaimReport(
         claim=name,
-        max_n=max_n,
+        max_n=top,
         tested=tested,
         passed=tested - len(witnesses),
         failed=len(witnesses),

@@ -6,15 +6,17 @@ of them, one of size >= 3, or one of size exactly 2. Each branch recovers the
 intervals and splices a card back up to the original graph. Outcomes the
 theory leaves open (hereditary orbit sets; a size-2 interval whose target
 orbit cannot be pinned down) surface as first-class Unsupported results.
+Every fact read off one deck lives in its card table, computed on first use
+and dropped with the table, so no search repeats a graph within a deck.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
-from typing import Callable, Iterator, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .canon import (
     CapabilityError,
@@ -75,7 +77,6 @@ class ReconstructionResult:
 
 
 class _Card(NamedTuple):
-    graph: Graph
     dec: ModularDecomposition
     skeleton: Graph
     skeleton_code: str
@@ -85,14 +86,17 @@ class _CardTable:
     """What reconstruction reads off the cards of one deck.
 
     Cards are decoded on construction and decomposed on first use of
-    by_code, so the degenerate branch decomposes nothing.
+    by_code, so the degenerate branch decomposes nothing; every other fact is
+    likewise computed on first use, once per graph.
     """
 
     def __init__(self, d: Deck) -> None:
         self.deck = d
         self.decoded = {code: from_graph6(code) for code in dict.fromkeys(d.cards)}
         self.graphs = [self.decoded[code] for code in d.cards]
-        self._critical: dict[Graph, bool] = {}
+        self._answers: dict[tuple[Callable, Graph], object] = {}
+        self._splits: dict[Graph, tuple[list[str], list[str]]] = {}
+        self.evidence: dict[Graph, list[tuple[str, str, set[int]]]] = {}
 
     @cached_property
     def by_code(self) -> dict[str, _Card]:
@@ -100,26 +104,29 @@ class _CardTable:
         for code, g in self.decoded.items():
             dec = decompose(g)
             k = _skeleton_of(g, dec)
-            out[code] = _Card(g, dec, k, canonical_form(k))
+            out[code] = _Card(dec, k, canonical_form(k))
         return out
 
     def edge_count(self) -> int:
         return _edge_count(self.deck.n, self.graphs)
 
     def split(self, k: Graph) -> tuple[list[str], list[str]]:
-        """Cards whose skeleton matches k, and the rest, in deck order."""
-        target = canonical_form(k)
-        dk: list[str] = []
-        non: list[str] = []
-        for code in self.deck.cards:
-            (dk if self.by_code[code].skeleton_code == target else non).append(code)
-        return dk, non
+        """Cards whose skeleton matches k, and the rest, in deck order; shared, never changed."""
+        if k not in self._splits:
+            target = canonical_form(k)
+            dk: list[str] = []
+            non: list[str] = []
+            for code in self.deck.cards:
+                (dk if self.by_code[code].skeleton_code == target else non).append(code)
+            self._splits[k] = dk, non
+        return self._splits[k]
 
-    def critical(self, k: Graph) -> bool:
-        """Whether the skeleton k is critically indecomposable, tested once per deck."""
-        if k not in self._critical:
-            self._critical[k] = is_critically_indecomposable(k)
-        return self._critical[k]
+    def ask(self, search: Callable[[Graph], Any], g: Graph) -> Any:
+        """search(g), run once per deck: an orbit, labelling or criticality search."""
+        key = (search, g)
+        if key not in self._answers:
+            self._answers[key] = search(g)
+        return self._answers[key]
 
     def prime(self, code: str) -> ModularDecomposition:
         dec = self.by_code[code].dec
@@ -168,10 +175,9 @@ def singleton_count(d: Deck, k: Graph) -> int:
     return s
 
 
-def _position_map(k: Graph) -> list[int]:
-    """Inverse canonical labelling of k: canonical position -> vertex of k."""
-    lab = canonical_labeling(k)
-    inv = [0] * k.n
+def _position_map(lab: tuple[int, ...]) -> list[int]:
+    """Inverse of a canonical labelling: canonical position -> vertex."""
+    inv = [0] * len(lab)
     for v, pos in enumerate(lab):
         inv[pos] = v
     return inv
@@ -182,6 +188,7 @@ def _largest_first(
     total: int,
     keys_of: Callable[[int, Graph], list[tuple[int, str]]],
     what: str,
+    known: Mapping[str, Graph],
 ) -> list[tuple[int, Graph]]:
     """Kelly-style attribution of a pool of tagged graph codes.
 
@@ -190,8 +197,9 @@ def _largest_first(
     multiplicity. Its one-vertex-deleted subgraphs, turned into pool keys by
     keys_of(tag, subgraph), are subtracted, and the next largest is taken.
     Returns the recovered (tag, part) pairs sorted by (tag, code).
+    A code in known is read from it rather than decoded again.
     """
-    decode = lru_cache(maxsize=None)(from_graph6)
+    decode = lru_cache(maxsize=None)(lambda code: known.get(code) or from_graph6(code))
     recovered: Counter[tuple[int, str]] = Counter()
     while pool:
         key = max(pool, key=lambda item: (decode(item[1]).n, item))
@@ -228,26 +236,28 @@ def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
     m = k.n - s
     if m < 2:
         raise ValueError("needs at least two non-singleton maximal intervals")
-    tagged = _orbit_tagger(k)
+    tagged = _orbit_tagger(cards, k)
     pool: Counter[tuple[int, str]] = Counter()
     for code in dk:
         for t, part in tagged(cards.prime(code)):
             if part.n >= 2:
                 pool[(t, canonical_form(part))] += 1
-    out = _largest_first(pool, d.n - s, _interval_keys, "interval")
+    out = _largest_first(pool, d.n - s, _interval_keys, "interval", {})
     if len(out) != m or sum(p.n for _, p in out) != d.n - s:
         raise DeckIntegrityError("recovered intervals do not account for the deck")
     return out
 
 
-def _orbit_tagger(k: Graph) -> Callable[[ModularDecomposition], list[tuple[int, Graph]]]:
+def _orbit_tagger(
+    cards: _CardTable, k: Graph
+) -> Callable[[ModularDecomposition], list[tuple[int, Graph]]]:
     """For a card whose quotient is k: each of its intervals, in position
     order, tagged with the k-orbit of its position."""
-    oix = orbit_index(automorphism_orbits(k))
-    inv_k = _position_map(k)
+    oix = orbit_index(cards.ask(automorphism_orbits, k))
+    inv_k = _position_map(cards.ask(canonical_labeling, k))
 
     def tagged(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
-        labs = canonical_labeling(dec.skeleton)
+        labs = cards.ask(canonical_labeling, dec.skeleton)
         return [(oix[inv_k[labs[pos]]], part) for pos, part in dec.intervals]
 
     return tagged
@@ -345,7 +355,7 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
         shrunk.append(lone[1])
 
     candidates: dict[str, Graph] = {}
-    g = _degenerate_rebuild(size, shrunk)
+    g = _degenerate_rebuild(size, shrunk, {})
     if g is not None:
         candidates[canonical_form(g)] = g
     else:
@@ -373,16 +383,13 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
 # -- interval recovery: a single non-singleton interval of size 2 -------------
 
 
-def _consistent_positions(k: Graph, s: Graph, pos: int) -> set[int]:
+def _consistent_positions(cards: _CardTable, k: Graph, s: Graph, pos: int) -> set[int]:
     """Images of pos under every embedding of s into k as an induced subgraph."""
-    labs = canonical_labeling(s)
+    labs = cards.ask(canonical_labeling, s)
     out: set[int] = set()
     for xs, sub in _induced_copies(k, s):
-        inv = [0] * sub.n
-        for v, p in enumerate(canonical_labeling(sub)):
-            inv[p] = v
-        image = inv[labs[pos]]
-        orbs = automorphism_orbits(sub)
+        image = _position_map(cards.ask(canonical_labeling, sub))[labs[pos]]
+        orbs = cards.ask(automorphism_orbits, sub)
         out.update(xs[j] for j in orbs[orbit_index(orbs)[image]])
     return out
 
@@ -392,30 +399,28 @@ def _edge_consistent(k: Graph, icode: str, positions: set[int], total_edges: int
     return {p for p in positions if total_edges == k.edge_count() + k.degree(p) + extra}
 
 
-def _order1_cards(d: Deck, k: Graph) -> list[_Card]:
-    """Skeleton-changing cards with a prime quotient on |K| - 1 vertices."""
+def _order1_evidence(d: Deck, k: Graph) -> list[tuple[str, str, set[int]]]:
+    """For each skeleton-changing card with a prime quotient on |K| - 1
+    vertices: its skeleton code, the code of its size-2 interval, and the
+    skeleton vertices consistent with that interval. Built once per k."""
     cards = _cards(d)
-    _, non = cards.split(k)
-    out = []
-    for code in sorted(set(non)):
-        card = cards.by_code[code]
-        if card.dec.kind is Kind.PRIME and card.skeleton.n == k.n - 1:
-            out.append(card)
-    return out
-
-
-def _order1_evidence(d: Deck, k: Graph) -> Iterator[tuple[str, str, set[int]]]:
-    """For each order-1 card: its skeleton code, the code of its size-2
-    interval, and the skeleton vertices consistent with that interval."""
-    for _, dec, _, code in _order1_cards(d, k):
-        lone = _lone_nonsingleton(dec)
-        if lone is None or lone[1].n != 2:
-            raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
-        yield code, canonical_form(lone[1]), _consistent_positions(k, dec.skeleton, lone[0])
+    if k not in cards.evidence:
+        out = []
+        for code in sorted(set(cards.split(k)[1])):
+            dec, skeleton, kcode = cards.by_code[code]
+            if dec.kind is not Kind.PRIME or skeleton.n != k.n - 1:
+                continue
+            lone = _lone_nonsingleton(dec)
+            if lone is None or lone[1].n != 2:
+                raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
+            spots = _consistent_positions(cards, k, dec.skeleton, lone[0])
+            out.append((kcode, canonical_form(lone[1]), spots))
+        cards.evidence[k] = out
+    return cards.evidence[k]
 
 
 def _pair_generic(d: Deck, k: Graph, total_edges: int) -> tuple[str, set[int]]:
-    evidence = list(_order1_evidence(d, k))
+    evidence = _order1_evidence(d, k)
     if evidence:
         icodes = {icode for _, icode, _ in evidence}
         if len(icodes) != 1:
@@ -466,10 +471,10 @@ def _lone_pair_interval(p: Graph):
 def _pair_critical(
     d: Deck, k: Graph, non: list[str], total_edges: int
 ) -> tuple[str, set[int]]:
-    cards = _cards(d).by_code
+    cards = _cards(d)
     evidence: dict[str, set[int] | None] = {}
     for code in sorted(set(non)):
-        h = cards[code].graph
+        h = cards.decoded[code]
         for flip in (False, True):
             g2 = h.complement() if flip else h
             base = k.complement() if flip else k
@@ -486,7 +491,7 @@ def _pair_critical(
                 if flip:
                     icode = canonical_form(from_graph6(icode).complement())
                 spots = (
-                    _consistent_positions(base, quotient, pos)
+                    _consistent_positions(cards, base, quotient, pos)
                     if quotient is not None
                     else None
                 )
@@ -510,11 +515,12 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     consistent with the deck's evidence."""
     if d.n != k.n + 1:
         raise ValueError("expects a skeleton one vertex smaller than the graph")
-    dk, non = _cards(d).split(k)
+    cards = _cards(d)
+    dk, non = cards.split(k)
     if len(dk) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
-    total_edges = _cards(d).edge_count()
-    if _cards(d).critical(k):
+    total_edges = cards.edge_count()
+    if cards.ask(is_critically_indecomposable, k):
         icode, positions = _pair_critical(d, k, non, total_edges)
     else:
         icode, positions = _pair_generic(d, k, total_edges)
@@ -543,12 +549,12 @@ def in_family_F(g: Graph) -> bool:
     return True
 
 
-def _lifting_vertices(g: Graph) -> list[int]:
+def _lifting_vertices(g: Graph, orbits: Callable[[Graph], list[tuple[int, ...]]]) -> list[int]:
     """Vertices w such that no vertex outside w's orbit has w's card, and the
-    orbits of w's card lift back to orbits of g."""
+    orbits of w's card lift back to orbits of g (as computed by orbits)."""
     if g.n > FAMILY_TEST_LIMIT:
         raise CapabilityError(f"family test limited to {FAMILY_TEST_LIMIT} vertices")
-    oix = orbit_index(automorphism_orbits(g))
+    oix = orbit_index(orbits(g))
     cards = [canonical_form(g.delete_vertex(v)) for v in range(g.n)]
     out = []
     for w in range(g.n):
@@ -557,7 +563,7 @@ def _lifting_vertices(g: Graph) -> list[int]:
         back = [x for x in range(g.n) if x != w]
         if all(
             len({oix[back[i]] for i in orb}) == 1
-            for orb in automorphism_orbits(g.delete_vertex(w))
+            for orb in orbits(g.delete_vertex(w))
         ):
             out.append(w)
     return out
@@ -565,7 +571,7 @@ def _lifting_vertices(g: Graph) -> list[int]:
 
 def in_family_G(g: Graph) -> bool:
     """No pseudo-similar vertices, and orbits of every card lift to orbits of g."""
-    return len(_lifting_vertices(g)) == g.n
+    return len(_lifting_vertices(g, automorphism_orbits)) == g.n
 
 
 def _relaxed_witnesses(k: Graph, lifting: list[int]) -> list[int]:
@@ -575,7 +581,7 @@ def _relaxed_witnesses(k: Graph, lifting: list[int]) -> list[int]:
 def relaxed_skeleton_condition(k: Graph) -> bool:
     """Some vertex deletion keeps k indecomposable, similar deletions stay in
     one orbit, and the card's orbits lift back to k."""
-    lifting = _lifting_vertices(k)
+    lifting = _lifting_vertices(k, automorphism_orbits)
     if not is_indecomposable(k):
         raise ValueError("the relaxed condition applies to indecomposable graphs")
     return bool(_relaxed_witnesses(k, lifting))
@@ -588,9 +594,9 @@ def _component_keys(_: int, g: Graph) -> list[tuple[int, str]]:
     return [(0, canonical_form(g.induced_subgraph(comp))) for comp in g.components()]
 
 
-def _rebuild_from_components(n: int, cards: list[Graph]) -> Graph:
+def _rebuild_from_components(n: int, cards: list[Graph], known: Mapping[str, Graph]) -> Graph:
     pool = Counter(key for card in cards for key in _component_keys(0, card))
-    parts = [p for _, p in _largest_first(pool, n, _component_keys, "component")]
+    parts = [p for _, p in _largest_first(pool, n, _component_keys, "component", known)]
     if sum(p.n for p in parts) != n or len(parts) < 2:
         raise DeckIntegrityError("components do not assemble to the right order")
     # parts arrive sorted by code; a stable sort by order keeps that within an order
@@ -598,20 +604,20 @@ def _rebuild_from_components(n: int, cards: list[Graph]) -> Graph:
     return disjoint_union(parts)
 
 
-def _degenerate_rebuild(n: int, cards: list[Graph]) -> Graph | None:
+def _degenerate_rebuild(n: int, cards: list[Graph], known: Mapping[str, Graph]) -> Graph | None:
     """The degenerate graph behind the n cards, or None when more than one
     card is connected and more than one is co-connected, which no deck of a
     degenerate graph allows.
 
     Pools components across cards and repeatedly removes the largest one
     together with the components attributable to it; the series case goes
-    through complementation.
+    through complementation. Component codes in known are not decoded again.
     """
     if sum(1 for c in cards if c.is_connected()) <= 1:
-        return _rebuild_from_components(n, cards)
+        return _rebuild_from_components(n, cards, known)
     flipped = [c.complement() for c in cards]
     if sum(1 for c in flipped if c.is_connected()) <= 1:
-        return _rebuild_from_components(n, flipped).complement()
+        return _rebuild_from_components(n, flipped, known).complement()
     return None
 
 
@@ -619,7 +625,8 @@ def reconstruct_degenerate(d: Deck) -> Graph:
     """The unique graph with deck d, for decks of degenerate graphs."""
     if d.n < 3:
         raise ValueError("degenerate reconstruction needs at least three cards")
-    g = _degenerate_rebuild(d.n, _cards(d).graphs)
+    cards = _cards(d)
+    g = _degenerate_rebuild(d.n, cards.graphs, cards.decoded)
     if g is None:
         raise DeckIntegrityError("deck does not come from a degenerate graph")
     return g
@@ -634,7 +641,8 @@ def _inflate_at(k: Graph, pos: int, part: Graph) -> Graph:
 
 def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
     tagged = intervals_multi(d, k)
-    orbs = automorphism_orbits(k)
+    cards = _cards(d)
+    orbs = cards.ask(automorphism_orbits, k)
     full: Counter[tuple[int, str]] = Counter(
         (t, canonical_form(p)) for t, p in tagged
     )
@@ -660,16 +668,13 @@ def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
         if found:
             break
 
-    cards = _cards(d)
     dk, non = cards.split(k)
     if found is not None:
         t, code, shrunk = found
         target = Counter(full)
-        target[(t, code)] -= 1
-        if target[(t, code)] == 0:
-            del target[(t, code)]
+        target[(t, code)] -= 1  # a zero count compares equal to a missing key
         target[(t, shrunk)] += 1
-        orbit_tagged = _orbit_tagger(k)
+        orbit_tagged = _orbit_tagger(cards, k)
         for card_code in sorted(set(dk)):
             dec = cards.prime(card_code)
             keys = [(tag, canonical_form(p)) for tag, p in orbit_tagged(dec)]
@@ -703,12 +708,10 @@ def _vertex_transitive_rebuild(
     ck1 = canonical_form(reduced)
     want = Counter(code for _, code in full.elements())
     want[SINGLETON_CODE] -= 1
-    if want[SINGLETON_CODE] == 0:
-        del want[SINGLETON_CODE]
     degree = k.degree(0)
     cards = _cards(d).by_code
     for card_code in sorted(set(non)):
-        _, dec, _, code = cards[card_code]
+        dec, _, code = cards[card_code]
         if dec.kind is not Kind.PRIME or code != ck1:
             continue
         if Counter(canonical_form(p) for _, p in dec.intervals) != want:
@@ -738,33 +741,29 @@ def _reconstruct_single_large(d: Deck, k: Graph) -> tuple[Graph, str]:
 def _relaxed_positions(d: Deck, k: Graph, witnesses: list[int], icode: str) -> set[int]:
     """Evidence-consistent positions restricted to witness deletion classes."""
     wcodes = {canonical_form(k.delete_vertex(w)) for w in witnesses}
-    positions: set[int] = set()
-    seen_classes: set[str] = set()
-    for code, _, spots in _order1_evidence(d, k):
-        if code in wcodes:
-            seen_classes.add(code)
-            positions |= spots
-    for code in wcodes - seen_classes:
-        # No card shows this witness class, so no singleton deletion produces
-        # it; the inflated vertex itself must sit in the class.
-        positions.update(
-            v for v in range(k.n) if canonical_form(k.delete_vertex(v)) == code
-        )
+    evidence = _order1_evidence(d, k)
+    positions = set().union(*(spots for code, _, spots in evidence if code in wcodes))
+    unseen = wcodes - {code for code, _, _ in evidence}
+    if unseen:
+        # No card shows these witness classes, so no singleton deletion
+        # produces them; the inflated vertex itself must sit in one.
+        positions.update(v for v in range(k.n) if canonical_form(k.delete_vertex(v)) in unseen)
     return _edge_consistent(k, icode, positions, _cards(d).edge_count())
 
 
 def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
     part, positions = interval_single_pair(d, k)
-    oix = orbit_index(automorphism_orbits(k))
-    if _cards(d).critical(k):
+    cards = _cards(d)
+    oix = orbit_index(cards.ask(automorphism_orbits, k))
+    if cards.ask(is_critically_indecomposable, k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
-    if not _order1_cards(d, k):
+    if not _order1_evidence(d, k):
         if len(positions) != 1:
             raise DeckIntegrityError("unique inflation point expected")
         return _inflate_at(k, positions[0], part), "size-two interval at unique position"
     # the per-vertex test decides family G (every vertex passes) and the
     # relaxed condition (some passing vertex deletion stays indecomposable)
-    lifting = _lifting_vertices(k)
+    lifting = _lifting_vertices(k, partial(cards.ask, automorphism_orbits))
     if len(lifting) == k.n:
         chosen = set(positions)
         provenance = "size-two interval, orbit identified"
@@ -787,7 +786,8 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
     if d.n < 3:
         return _unsupported("decks with fewer than three cards are ambiguous in general")
     try:
-        g = _degenerate_rebuild(d.n, _cards(d).graphs)
+        cards = _cards(d)
+        g = _degenerate_rebuild(d.n, cards.graphs, cards.decoded)
     except DeckIntegrityError as exc:
         return _unsupported(str(exc))
     provenance = "degenerate components"

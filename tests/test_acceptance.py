@@ -3,8 +3,9 @@ PASS/FAIL line. Time budgets are wall-clock upper bounds on warm catalog
 caches (the conftest pins the cache directory inside the repo)."""
 
 import time
+from collections import Counter
 
-from deckrecon import complete_graph, empty_graph, make_deck
+from deckrecon import complete_graph, empty_graph, make_deck, oracle
 from deckrecon.oracle import (
     KNOWN_COUNTS,
     check_claim,
@@ -54,10 +55,31 @@ def test_criterion_05_skeleton_recovery_and_singleton_count():
     run_claim("criterion-05", "thm-3.2", 8)
 
 
-def test_criterion_06_reconstruction_soundness():
+def test_criterion_06_reconstruction_soundness(monkeypatch):
     # every decomposable graph on 4..8 vertices is either reconstructed
-    # exactly, or reported unsupported inside a ground-truth-verified open case
+    # exactly, or reported unsupported inside a ground-truth-verified open
+    # case; the same sweep pins the outcome histogram
+    got = Counter()
+    rebuild = oracle.reconstruct
+
+    def recording(d):
+        res = rebuild(d)
+        got[(res.status, res.provenance or res.reason)] += 1
+        return res
+
+    monkeypatch.setattr(oracle, "reconstruct", recording)
     run_claim("criterion-06", "reconstruction", 8)
+    assert got == {
+        ("reconstructed", "degenerate components"): 2964,
+        ("reconstructed", "size-two interval, orbit identified (relaxed)"): 2832,
+        ("reconstructed", "multi-interval splice"): 1516,
+        ("reconstructed", "single large interval splice"): 656,
+        ("reconstructed", "size-two interval, orbit identified"): 58,
+        ("reconstructed", "vertex-transitive skeleton"): 40,
+        ("reconstructed", "size-two interval at unique position"): 18,
+        ("unsupported", "size-two interval with unidentifiable orbit"): 292,
+        ("unsupported", "hereditary orbits"): 254,
+    }
 
 
 def test_criterion_07_exhaustive_reconstruction_check():

@@ -99,6 +99,14 @@ def test_verify_claim(capsys):
     assert payload["failed"] == 0 and payload["tested"] == 3
 
 
+def test_verify_reports_the_orders_it_examined(capsys):
+    # kelly stops at 7 and recognition at 6, whatever larger --max-n is given
+    code, out, _ = run(capsys, "verify", "kelly", "--max-n", "9")
+    assert code == 0 and out.startswith("claim kelly up to n=7: ")
+    code, out, _ = run(capsys, "verify", "recognition", "--max-n", "9", "--json")
+    assert code == 0 and json.loads(out)["max_n"] == 6
+
+
 def test_verify_a_range_that_tests_nothing_exits_2(capsys):
     for max_n in ("-1", "3"):
         code, out, err = run(capsys, "verify", "thm-2.2", "--max-n", max_n)

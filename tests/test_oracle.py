@@ -102,13 +102,31 @@ def test_check_claim_unknown():
 
 
 def test_check_claim_rejects_a_range_below_the_claim():
-    for name, (lo, claim) in CLAIMS.items():
+    for name, (lo, _, claim) in CLAIMS.items():
         # lo is the smallest order the claim examines: below it nothing is tested
         assert claim(lo - 1) == (0, []), name
         with pytest.raises(ClaimRangeError):
             check_claim(name, lo - 1)
         with pytest.raises(ClaimRangeError):
             check_claim(name, -1)
+
+
+def test_reports_give_the_highest_order_examined():
+    # a claim with its own largest order stops there and reports it, not the
+    # larger max_n it was given
+    tops = {name: hi for name, (_, hi, _) in CLAIMS.items() if hi is not None}
+    assert tops == {
+        "fig1-counts": 5,
+        "fig2-criticality": 10,
+        "recognition": 6,
+        "rc-exhaustive": 7,
+        "kelly": 7,
+    }
+    for name, hi in tops.items():
+        report = check_claim(name, hi + 2)
+        assert report.max_n == hi, name
+        assert report.tested == check_claim(name, hi).tested, name
+        assert check_claim(name, hi - 1).max_n == hi - 1, name
 
 
 def test_check_claim_respects_max_n():

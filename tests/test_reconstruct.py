@@ -10,6 +10,7 @@ from deckrecon import (
     Graph,
     automorphism_orbits,
     canonical_form,
+    canonical_labeling,
     complete_graph,
     critically_indecomposable,
     cycle_graph,
@@ -258,7 +259,9 @@ def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
     monkeypatch.setattr(rc, "decompose", recording)
     monkeypatch.setattr(rc, "from_graph6", decoding)
     monkeypatch.setattr(dk, "from_graph6", decoding)
-    for g, provenance in branch_examples(c5, bull):
+    # P4 + K1: a connected card is its own single component
+    p4_k1 = (disjoint_union([path_graph(4), K1]), "degenerate components")
+    for g, provenance in branch_examples(c5, bull) + [p4_k1]:
         d = make_deck(g)
         rc._cards.cache_clear()
         decomposed.clear()
@@ -268,6 +271,43 @@ def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
         for calls in (decomposed, decoded):
             again = [code for code, q in Counter(calls).items() if q > 1 and code in d.cards]
             assert not again, (provenance, again)
+
+
+def decomposable_decks_up_to_seven_vertices():
+    for n in range(4, 8):
+        for code in enumerate_graphs(n).classes:
+            g = from_graph6(code)
+            if decompose(g).kind is not Kind.INDECOMPOSABLE:
+                yield make_deck(g)
+
+
+def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
+    # canon's orbit and labelling searches and the criticality test go
+    # through the card table, so none repeats a labelled graph in one deck
+    rc = importlib.import_module("deckrecon.reconstruct")
+    calls = []
+
+    def recording(search):
+        def wrapper(g):
+            calls.append((search.__name__, g.n, g.adj))
+            return search(g)
+
+        return wrapper
+
+    for search in (automorphism_orbits, canonical_labeling, is_critically_indecomposable):
+        monkeypatch.setattr(rc, search.__name__, recording(search))
+    examples = [make_deck(g) for g, _ in branch_examples(c5, bull)]
+    total = Counter()
+    for i, d in enumerate(examples + list(decomposable_decks_up_to_seven_vertices())):
+        rc._cards.cache_clear()
+        calls.clear()
+        reconstruct(d)
+        again = [call for call, q in Counter(calls).items() if q > 1]
+        assert not again, (d, again)
+        if i >= len(examples):
+            total.update(name for name, _, _ in calls)
+    assert sum(total.values()) - total["is_critically_indecomposable"] <= 2667
+    assert total["is_critically_indecomposable"] == 228
 
 
 def test_reconstruct_outcome_histogram_up_to_seven_vertices():
