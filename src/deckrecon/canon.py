@@ -3,8 +3,9 @@
 Canonicalisation runs equitable degree-partition refinement, then backtracks
 over cell orderings picking the lexicographically smallest adjacency
 bit-string. Automorphisms discovered as leaf collisions prune the search and
-supply the orbit partition. Exact and fast enough for graphs up to ~12
-vertices, which is all the desk-scale procedures need.
+supply the orbit partition. Exact up to the 64-vertex graph cap, but
+exponential on highly symmetric graphs (empty graphs, matchings), whichever
+of `canonical_form`, `canonical_labeling` and `automorphism_orbits` runs it.
 
 `canonical_form` keeps a process-wide memo of the codes of small graphs,
 because reconstruction asks for the same cards again and again, within a
@@ -23,7 +24,6 @@ from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, bits_to_graph6
 
-ORBIT_VERTEX_LIMIT = 12
 MEMO_ORDER_LIMIT = 8
 MEMO_SIZE = 2048
 
@@ -199,9 +199,8 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
-    """Exact orbit partition of the full automorphism group (n <= 12)."""
-    if g.n > ORBIT_VERTEX_LIMIT:
-        raise CapabilityError(f"orbit computation limited to {ORBIT_VERTEX_LIMIT} vertices")
+    """Exact orbit partition of the full automorphism group; the same search
+    as canonical_form, so just as exponential on highly symmetric graphs."""
     if g.n <= 1:
         return [tuple(range(g.n))] if g.n else []
     _, _, auts = _search(g.n, g.adj, [list(range(g.n))])
@@ -216,13 +215,16 @@ def orbit_index(orbits: list[tuple[int, ...]]) -> dict[int, int]:
     return {v: i for i, orb in enumerate(orbits) for v in orb}
 
 
-def _induced_copies(g: Graph, h: Graph) -> Iterator[tuple[tuple[int, ...], Graph]]:
-    """(xs, subgraph) for each vertex subset xs of g inducing a copy of h."""
-    target = canonical_form(h)
+def _induced_copies(
+    g: Graph, h: Graph, code: Callable[[Graph], str]
+) -> Iterator[tuple[tuple[int, ...], Graph]]:
+    """(xs, subgraph) for each vertex subset xs of g inducing a copy of h,
+    comparing the canonical codes that code gives."""
+    target = code(h)
     he = h.edge_count()
     for xs in combinations(range(g.n), h.n):
         sub = g.induced_subgraph(xs)
-        if sub.edge_count() == he and canonical_form(sub) == target:
+        if sub.edge_count() == he and code(sub) == target:
             yield xs, sub
 
 
@@ -230,4 +232,4 @@ def has_induced_subgraph(g: Graph, h: Graph) -> bool:
     """True iff some vertex subset of g induces a graph isomorphic to h."""
     if h.n > g.n:
         raise ValueError("pattern larger than host")
-    return next(_induced_copies(g, h), None) is not None
+    return next(_induced_copies(g, h, canonical_form), None) is not None

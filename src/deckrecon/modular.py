@@ -108,7 +108,8 @@ def maximal_proper_module_masks(g: Graph) -> list[int]:
         if covered >> v & 1:
             continue
         m = 1 << v
-        for u in range(g.n):
+        # an earlier vertex lies in an earlier maximal module, disjoint from v's
+        for u in range(v + 1, g.n):
             if not m >> u & 1:
                 c = _closure(g, m | 1 << u)
                 if c != full:

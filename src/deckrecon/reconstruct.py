@@ -39,8 +39,6 @@ from .modular import (
     is_indecomposable,
 )
 
-FAMILY_TEST_LIMIT = 10
-
 SINGLETON = empty_graph(1)
 SINGLETON_CODE = canonical_form(SINGLETON)
 K2_CODE = canonical_form(Graph(2, (2, 1)))
@@ -104,7 +102,7 @@ class _CardTable:
         for code, g in self.decoded.items():
             dec = decompose(g)
             k = _skeleton_of(g, dec)
-            out[code] = _Card(dec, k, canonical_form(k))
+            out[code] = _Card(dec, k, self.ask(canonical_form, k))
         return out
 
     def edge_count(self) -> int:
@@ -113,7 +111,7 @@ class _CardTable:
     def split(self, k: Graph) -> tuple[list[str], list[str]]:
         """Cards whose skeleton matches k, and the rest, in deck order; shared, never changed."""
         if k not in self._splits:
-            target = canonical_form(k)
+            target = self.ask(canonical_form, k)
             dk: list[str] = []
             non: list[str] = []
             for code in self.deck.cards:
@@ -122,7 +120,7 @@ class _CardTable:
         return self._splits[k]
 
     def ask(self, search: Callable[[Graph], Any], g: Graph) -> Any:
-        """search(g), run once per deck: an orbit, labelling or criticality search."""
+        """search(g), run once per deck: a code, orbit, labelling or criticality search."""
         key = (search, g)
         if key not in self._answers:
             self._answers[key] = search(g)
@@ -387,7 +385,7 @@ def _consistent_positions(cards: _CardTable, k: Graph, s: Graph, pos: int) -> se
     """Images of pos under every embedding of s into k as an induced subgraph."""
     labs = cards.ask(canonical_labeling, s)
     out: set[int] = set()
-    for xs, sub in _induced_copies(k, s):
+    for xs, sub in _induced_copies(k, s, partial(cards.ask, canonical_form)):
         image = _position_map(cards.ask(canonical_labeling, sub))[labs[pos]]
         orbs = cards.ask(automorphism_orbits, sub)
         out.update(xs[j] for j in orbs[orbit_index(orbs)[image]])
@@ -533,8 +531,6 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
 def in_family_F(g: Graph) -> bool:
     """Trivial automorphism group, and every induced subgraph on n-1 and n-2
     vertices arises from exactly one vertex subset."""
-    if g.n > FAMILY_TEST_LIMIT:
-        raise CapabilityError(f"family test limited to {FAMILY_TEST_LIMIT} vertices")
     if any(len(o) > 1 for o in automorphism_orbits(g)):
         return False
     for size in (g.n - 1, g.n - 2):
@@ -549,13 +545,12 @@ def in_family_F(g: Graph) -> bool:
     return True
 
 
-def _lifting_vertices(g: Graph, orbits: Callable[[Graph], list[tuple[int, ...]]]) -> list[int]:
+def _lifting_vertices(g: Graph, ask: Callable = lambda search, h: search(h)) -> list[int]:
     """Vertices w such that no vertex outside w's orbit has w's card, and the
-    orbits of w's card lift back to orbits of g (as computed by orbits)."""
-    if g.n > FAMILY_TEST_LIMIT:
-        raise CapabilityError(f"family test limited to {FAMILY_TEST_LIMIT} vertices")
-    oix = orbit_index(orbits(g))
-    cards = [canonical_form(g.delete_vertex(v)) for v in range(g.n)]
+    orbits of w's card lift back to orbits of g; ask(search, h) runs each
+    code and orbit search, by default afresh."""
+    oix = orbit_index(ask(automorphism_orbits, g))
+    cards = [ask(canonical_form, g.delete_vertex(v)) for v in range(g.n)]
     out = []
     for w in range(g.n):
         if any(cards[x] == cards[w] and oix[x] != oix[w] for x in range(g.n)):
@@ -563,7 +558,7 @@ def _lifting_vertices(g: Graph, orbits: Callable[[Graph], list[tuple[int, ...]]]
         back = [x for x in range(g.n) if x != w]
         if all(
             len({oix[back[i]] for i in orb}) == 1
-            for orb in orbits(g.delete_vertex(w))
+            for orb in ask(automorphism_orbits, g.delete_vertex(w))
         ):
             out.append(w)
     return out
@@ -571,7 +566,7 @@ def _lifting_vertices(g: Graph, orbits: Callable[[Graph], list[tuple[int, ...]]]
 
 def in_family_G(g: Graph) -> bool:
     """No pseudo-similar vertices, and orbits of every card lift to orbits of g."""
-    return len(_lifting_vertices(g, automorphism_orbits)) == g.n
+    return len(_lifting_vertices(g)) == g.n
 
 
 def _relaxed_witnesses(k: Graph, lifting: list[int]) -> list[int]:
@@ -581,10 +576,9 @@ def _relaxed_witnesses(k: Graph, lifting: list[int]) -> list[int]:
 def relaxed_skeleton_condition(k: Graph) -> bool:
     """Some vertex deletion keeps k indecomposable, similar deletions stay in
     one orbit, and the card's orbits lift back to k."""
-    lifting = _lifting_vertices(k, automorphism_orbits)
     if not is_indecomposable(k):
         raise ValueError("the relaxed condition applies to indecomposable graphs")
-    return bool(_relaxed_witnesses(k, lifting))
+    return bool(_relaxed_witnesses(k, _lifting_vertices(k)))
 
 
 # -- degenerate graphs ---------------------------------------------------------
@@ -740,15 +734,16 @@ def _reconstruct_single_large(d: Deck, k: Graph) -> tuple[Graph, str]:
 
 def _relaxed_positions(d: Deck, k: Graph, witnesses: list[int], icode: str) -> set[int]:
     """Evidence-consistent positions restricted to witness deletion classes."""
-    wcodes = {canonical_form(k.delete_vertex(w)) for w in witnesses}
+    cards = _cards(d)
+    codes = [cards.ask(canonical_form, k.delete_vertex(v)) for v in range(k.n)]
+    wcodes = {codes[w] for w in witnesses}
     evidence = _order1_evidence(d, k)
     positions = set().union(*(spots for code, _, spots in evidence if code in wcodes))
+    # No card shows the unseen witness classes, so no singleton deletion
+    # produces them; the inflated vertex itself must sit in one.
     unseen = wcodes - {code for code, _, _ in evidence}
-    if unseen:
-        # No card shows these witness classes, so no singleton deletion
-        # produces them; the inflated vertex itself must sit in one.
-        positions.update(v for v in range(k.n) if canonical_form(k.delete_vertex(v)) in unseen)
-    return _edge_consistent(k, icode, positions, _cards(d).edge_count())
+    positions.update(v for v in range(k.n) if codes[v] in unseen)
+    return _edge_consistent(k, icode, positions, cards.edge_count())
 
 
 def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
@@ -763,7 +758,7 @@ def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
         return _inflate_at(k, positions[0], part), "size-two interval at unique position"
     # the per-vertex test decides family G (every vertex passes) and the
     # relaxed condition (some passing vertex deletion stays indecomposable)
-    lifting = _lifting_vertices(k, partial(cards.ask, automorphism_orbits))
+    lifting = _lifting_vertices(k, cards.ask)
     if len(lifting) == k.n:
         chosen = set(positions)
         provenance = "size-two interval, orbit identified"

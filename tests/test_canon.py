@@ -4,7 +4,6 @@ import random
 import pytest
 
 from deckrecon import (
-    CapabilityError,
     Graph,
     automorphism_orbits,
     canonical_form,
@@ -104,8 +103,8 @@ def test_orbits_of_symmetric_graphs():
     assert automorphism_orbits(cycle_graph(11)) == [tuple(range(11))]
     star = Graph.from_edges(7, [(0, v) for v in range(1, 7)])
     assert automorphism_orbits(star) == [(0,), (1, 2, 3, 4, 5, 6)]
-    with pytest.raises(CapabilityError):
-        automorphism_orbits(empty_graph(13))
+    assert automorphism_orbits(cycle_graph(13)) == [tuple(range(13))]
+    assert automorphism_orbits(path_graph(13)) == [(v, 12 - v) for v in range(6)] + [(6,)]
 
 
 def test_orbit_index():

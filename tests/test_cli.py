@@ -4,7 +4,7 @@ import pytest
 
 from deckrecon import canonical_form, cycle_graph, inflate, make_deck, save_deck
 from deckrecon.cli import main
-from deckrecon.graphs import complete_graph, empty_graph, path_graph
+from deckrecon.graphs import complete_graph, empty_graph
 
 
 def run(capsys, *argv):
@@ -72,14 +72,15 @@ def test_reconstruct_unsupported_exit_code(capsys, tmp_path, c5):
     assert out.startswith("unsupported:")
 
 
-def test_reconstruct_past_a_size_cap_exits_1(capsys, tmp_path):
-    # a well-formed deck whose 13-vertex skeleton exceeds the orbit cap
-    g = inflate(path_graph(13), [complete_graph(2)] + [empty_graph(1)] * 12)
+def test_reconstruct_a_13_vertex_skeleton_exits_0(capsys, tmp_path):
+    g = inflate(cycle_graph(13), [complete_graph(2)] + [empty_graph(1)] * 12)
     path = tmp_path / "deck.g6"
     save_deck(make_deck(g), path)
     code, out, _ = run(capsys, "reconstruct", str(path))
-    assert code == 1
-    assert out.startswith("unsupported: orbit computation limited to 12 vertices")
+    assert code == 0
+    assert out.splitlines() == [
+        canonical_form(g), "provenance: size-two interval, orbit identified"
+    ]
 
 
 def test_reconstruct_oracle_fallback(capsys, tmp_path, c5):

@@ -36,7 +36,7 @@ from deckrecon import (
 )
 from deckrecon.graphs import from_graph6
 from deckrecon.modular import Kind
-from deckrecon.oracle import enumerate_graphs
+from deckrecon.oracle import _open_case, enumerate_graphs
 
 from test_graphs import random_graph
 
@@ -357,19 +357,63 @@ def test_reconstruct_tests_criticality_once_per_pair_deck(monkeypatch):
     assert len(calls) == pair_decks
 
 
-def test_reconstruct_past_the_size_caps_is_unsupported():
-    # 13-vertex skeletons exceed the 12-vertex orbit cap, both with several
-    # intervals and with one size-two interval
+def test_reconstruct_canonicalises_each_large_graph_once_per_deck(monkeypatch):
+    # an 11-vertex skeleton takes the relaxed pair branch: its deletions and
+    # their induced copies are past canon's memo, so their codes are read
+    # through the card table
+    rc = importlib.import_module("deckrecon.reconstruct")
+    canon = importlib.import_module("deckrecon.canon")
+    d = make_deck(from_graph6("K??BgqLZZ~^j"))
+    calls = []
+
+    def counting(g):
+        if g.n > 8:
+            calls.append((g.n, g.adj))
+        return canonical_form(g)
+
+    monkeypatch.setattr(rc, "canonical_form", counting)
+    monkeypatch.setattr(canon, "canonical_form", counting)
+    rc._cards.cache_clear()
+    res = reconstruct(d)
+    assert res.provenance == "size-two interval, orbit identified (relaxed)"
+    assert len(calls) == len(set(calls)) <= 22
+
+
+def paley_graph(q: int) -> Graph:
+    """Vertices Z_q (q prime, q = 1 mod 4), adjacent when they differ by a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(
+        q, [(i, j) for i in range(q) for j in range(i + 1, q) if j - i in squares]
+    )
+
+
+def test_reconstruct_past_twelve_vertices():
+    # 11- and 13-vertex skeletons: each deck reconstructs, or is one the
+    # theory leaves open, for the same reasons as at desk scale
     p13 = path_graph(13)
-    for parts in ([K2] + [K1] * 12, [K2, K1, K2] + [K1] * 10):
-        res = reconstruct(make_deck(inflate(p13, parts)))
-        assert res.status == "unsupported"
-        assert res.reason == "orbit computation limited to 12 vertices"
-    # an 11-vertex skeleton with one size-two interval is within the orbit
-    # cap but past the family test's
-    res = reconstruct(make_deck(inflate(path_graph(11), [K2] + [K1] * 10)))
-    assert res.status == "unsupported"
-    assert res.reason == "family test limited to 10 vertices"
+    shapes = {
+        "P13, one K2": inflate(p13, [K2] + [K1] * 12),
+        "P13, K2 K1 K2": inflate(p13, [K2, K1, K2] + [K1] * 10),
+        "P11, one K2": inflate(path_graph(11), [K2] + [K1] * 10),
+        "C13, one K2": inflate(cycle_graph(13), [K2] + [K1] * 12),
+        "Paley(13), one K2": inflate(paley_graph(13), [K2] + [K1] * 12),
+    }
+    got = {}
+    for name, g in shapes.items():
+        res = reconstruct(make_deck(g))
+        if res.reconstructed:
+            assert is_isomorphic(res.graph, g), name
+        else:
+            assert res.status == "unsupported", name
+            assert _open_case(decompose(g)), (name, res.reason)
+        got[name] = res.provenance or res.reason
+    assert got == {
+        "P13, one K2": "size-two interval with unidentifiable orbit",
+        "P13, K2 K1 K2": "hereditary orbits",
+        "P11, one K2": "size-two interval with unidentifiable orbit",
+        "C13, one K2": "size-two interval, orbit identified",
+        "Paley(13), one K2": "size-two interval, orbit identified",
+    }
 
 
 def test_reconstruct_a_24_vertex_graph():
