@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .canon import canonical_form
-from .graphs import Graph, from_graph6
+from .graphs import MAX_VERTICES, Graph, from_graph6
 from .modular import skeleton
 
 
@@ -31,8 +31,8 @@ class Deck:
     cards: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DeckError("deck needs at least one card")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise DeckError(f"deck size {self.n} outside 1..{MAX_VERTICES}")
         if len(self.cards) != self.n:
             raise DeckError(f"expected {self.n} cards, got {len(self.cards)}")
         canon: dict[str, str] = {}

@@ -6,17 +6,20 @@ of them, one of size >= 3, or one of size exactly 2. Each branch recovers the
 intervals and splices a card back up to the original graph. Outcomes the
 theory leaves open (hereditary orbit sets; a size-2 interval whose target
 orbit cannot be pinned down) surface as first-class Unsupported results.
-Every fact read off one deck lives in its card table, computed on first use
-and dropped with the table, so no search repeats a graph within a deck.
+Every answer about one deck lives in one memo, its card table's ask: card
+decodes, decompositions and skeleton codes, the skeleton split, the order-1
+evidence, canon's searches, the criticality test and the deck of each
+candidate graph. Each is computed on first use and dropped with the table, so
+no question repeats within a deck and no deck is built twice.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import combinations
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .canon import (
     CapabilityError,
@@ -71,7 +74,7 @@ class ReconstructionResult:
         return self.status == "reconstructed"
 
 
-# -- the card table: each distinct card decoded and decomposed once ------------
+# -- the card table: one memo of every answer about a deck ---------------------
 
 
 class _Card(NamedTuple):
@@ -81,56 +84,60 @@ class _Card(NamedTuple):
 
 
 class _CardTable:
-    """What reconstruction reads off the cards of one deck.
+    """What reconstruction reads off the cards of one deck, in one memo.
 
-    Cards are decoded on construction and decomposed on first use of
-    by_code, so the degenerate branch decomposes nothing; every other fact is
-    likewise computed on first use, once per graph.
+    ask(fn, *args) computes fn(*args) on first use and keeps it for the
+    deck: decodes, card facts, canon's searches, the split, the evidence and
+    the decks of candidate graphs alike. Keys hold codes, graphs or the deck,
+    never the table, so no table is a reference cycle; a fact about the
+    deck takes the deck and reads its table through _cards.
     """
 
     def __init__(self, d: Deck) -> None:
         self.deck = d
-        self.decoded = {code: from_graph6(code) for code in dict.fromkeys(d.cards)}
-        self.graphs = [self.decoded[code] for code in d.cards]
-        self._answers: dict[tuple[Callable, Graph], object] = {}
-        self._splits: dict[Graph, tuple[list[str], list[str]]] = {}
-        self.evidence: dict[Graph, list[tuple[str, str, set[int]]]] = {}
+        self._answers: dict[tuple, Any] = {}
 
-    @cached_property
-    def by_code(self) -> dict[str, _Card]:
-        out: dict[str, _Card] = {}
-        for code, g in self.decoded.items():
-            dec = decompose(g)
-            k = _skeleton_of(g, dec)
-            out[code] = _Card(dec, k, self.ask(canonical_form, k))
-        return out
+    def ask(self, fn: Callable[..., Any], *args: Any) -> Any:
+        key = (fn, *args)
+        answer = self._answers.get(key)  # no question asked of a table answers None
+        if answer is None:
+            answer = self._answers[key] = fn(*args)
+        return answer
 
-    def edge_count(self) -> int:
-        return _edge_count(self.deck.n, self.graphs)
+    def graphs(self) -> list[Graph]:
+        return [self.ask(from_graph6, code) for code in self.deck.cards]
+
+    def card(self, code: str) -> _Card:
+        return self.ask(_card, self.deck, code)
 
     def split(self, k: Graph) -> tuple[list[str], list[str]]:
         """Cards whose skeleton matches k, and the rest, in deck order; shared, never changed."""
-        if k not in self._splits:
-            target = self.ask(canonical_form, k)
-            dk: list[str] = []
-            non: list[str] = []
-            for code in self.deck.cards:
-                (dk if self.by_code[code].skeleton_code == target else non).append(code)
-            self._splits[k] = dk, non
-        return self._splits[k]
-
-    def ask(self, search: Callable[[Graph], Any], g: Graph) -> Any:
-        """search(g), run once per deck: a code, orbit, labelling or criticality search."""
-        key = (search, g)
-        if key not in self._answers:
-            self._answers[key] = search(g)
-        return self._answers[key]
+        return self.ask(_split, self.deck, k)
 
     def prime(self, code: str) -> ModularDecomposition:
-        dec = self.by_code[code].dec
+        dec = self.card(code).dec
         if dec.kind is not Kind.PRIME:
             raise DeckIntegrityError("card expected to carry a prime decomposition")
         return dec
+
+
+def _card(d: Deck, code: str) -> _Card:
+    """A card's decomposition, skeleton and skeleton code; the degenerate branch asks none."""
+    cards = _cards(d)
+    g = cards.ask(from_graph6, code)
+    dec = decompose(g)
+    k = _skeleton_of(g, dec)
+    return _Card(dec, k, cards.ask(canonical_form, k))
+
+
+def _split(d: Deck, k: Graph) -> tuple[list[str], list[str]]:
+    cards = _cards(d)
+    target = cards.ask(canonical_form, k)
+    dk: list[str] = []
+    non: list[str] = []
+    for code in d.cards:
+        (dk if cards.card(code).skeleton_code == target else non).append(code)
+    return dk, non
 
 
 @lru_cache(maxsize=1)
@@ -145,23 +152,14 @@ def _cards(d: Deck) -> _CardTable:
 def skeleton_from_deck(d: Deck) -> Graph:
     """The unique largest card skeleton on >= 4 vertices."""
     cards = _cards(d)
-    top_n = 0
-    top_codes: set[str] = set()
-    for card in cards.by_code.values():
-        k = card.skeleton
-        if k.n < 4:
-            continue
-        if k.n > top_n:
-            top_n, top_codes = k.n, {card.skeleton_code}
-        elif k.n == top_n:
-            top_codes.add(card.skeleton_code)
-    if not top_codes:
+    orders = {c.skeleton_code: c.skeleton.n for c in map(cards.card, dict.fromkeys(d.cards))}
+    top_n = max(orders.values())
+    if top_n < 4:
         raise DeckIntegrityError("no card has a skeleton on four or more vertices")
+    top_codes = [code for code, n in orders.items() if n == top_n]
     if len(top_codes) > 1:
         raise DeckIntegrityError("largest card skeletons disagree")
-    code = top_codes.pop()
-    # a card that is its own skeleton has been decoded already
-    return cards.decoded[code] if code in cards.decoded else from_graph6(code)
+    return cards.ask(from_graph6, top_codes[0])
 
 
 def singleton_count(d: Deck, k: Graph) -> int:
@@ -186,7 +184,7 @@ def _largest_first(
     total: int,
     keys_of: Callable[[int, Graph], list[tuple[int, str]]],
     what: str,
-    known: Mapping[str, Graph],
+    ask: Callable,
 ) -> list[tuple[int, Graph]]:
     """Kelly-style attribution of a pool of tagged graph codes.
 
@@ -194,10 +192,10 @@ def _largest_first(
     exactly total - p cards, so its pooled count divided by total - p is its
     multiplicity. Its one-vertex-deleted subgraphs, turned into pool keys by
     keys_of(tag, subgraph), are subtracted, and the next largest is taken.
-    Returns the recovered (tag, part) pairs sorted by (tag, code).
-    A code in known is read from it rather than decoded again.
+    Returns the recovered (tag, part) pairs sorted by (tag, code); codes are
+    decoded through the card table's ask.
     """
-    decode = lru_cache(maxsize=None)(lambda code: known.get(code) or from_graph6(code))
+    decode = partial(ask, from_graph6)
     recovered: Counter[tuple[int, str]] = Counter()
     while pool:
         key = max(pool, key=lambda item: (decode(item[1]).n, item))
@@ -240,7 +238,7 @@ def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
         for t, part in tagged(cards.prime(code)):
             if part.n >= 2:
                 pool[(t, canonical_form(part))] += 1
-    out = _largest_first(pool, d.n - s, _interval_keys, "interval", {})
+    out = _largest_first(pool, d.n - s, _interval_keys, "interval", cards.ask)
     if len(out) != m or sum(p.n for _, p in out) != d.n - s:
         raise DeckIntegrityError("recovered intervals do not account for the deck")
     return out
@@ -316,7 +314,7 @@ def _single_large_candidates(
 ) -> list[Graph]:
     out: list[Graph] = []
     for code in sorted(set(non)):
-        dec = cards.by_code[code].dec
+        dec = cards.card(code).dec
         if dec.kind is Kind.PRIME:
             nons = [p for _, p in dec.intervals if p.n >= 2]
             if dec.skeleton.n == k.n - 1:
@@ -353,7 +351,7 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
         shrunk.append(lone[1])
 
     candidates: dict[str, Graph] = {}
-    g = _degenerate_rebuild(size, shrunk, {})
+    g = _degenerate_rebuild(size, shrunk, cards.ask)
     if g is not None:
         candidates[canonical_form(g)] = g
     else:
@@ -371,7 +369,7 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
     host = cards.prime(min(dk))
     survivors: list[Graph] = []
     for _, cand in sorted(candidates.items()):
-        if make_deck(_splice_unique(host, cand)) == d:
+        if cards.ask(make_deck, _splice_unique(host, cand)) == d:
             survivors.append(cand)
     if len(survivors) != 1:
         raise DeckIntegrityError("interval recovery did not isolate a unique interval")
@@ -400,25 +398,23 @@ def _edge_consistent(k: Graph, icode: str, positions: set[int], total_edges: int
 def _order1_evidence(d: Deck, k: Graph) -> list[tuple[str, str, set[int]]]:
     """For each skeleton-changing card with a prime quotient on |K| - 1
     vertices: its skeleton code, the code of its size-2 interval, and the
-    skeleton vertices consistent with that interval. Built once per k."""
+    skeleton vertices consistent with that interval. Asked through the table."""
     cards = _cards(d)
-    if k not in cards.evidence:
-        out = []
-        for code in sorted(set(cards.split(k)[1])):
-            dec, skeleton, kcode = cards.by_code[code]
-            if dec.kind is not Kind.PRIME or skeleton.n != k.n - 1:
-                continue
-            lone = _lone_nonsingleton(dec)
-            if lone is None or lone[1].n != 2:
-                raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
-            spots = _consistent_positions(cards, k, dec.skeleton, lone[0])
-            out.append((kcode, canonical_form(lone[1]), spots))
-        cards.evidence[k] = out
-    return cards.evidence[k]
+    out = []
+    for code in sorted(set(cards.split(k)[1])):
+        dec, skeleton, kcode = cards.card(code)
+        if dec.kind is not Kind.PRIME or skeleton.n != k.n - 1:
+            continue
+        lone = _lone_nonsingleton(dec)
+        if lone is None or lone[1].n != 2:
+            raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
+        spots = _consistent_positions(cards, k, dec.skeleton, lone[0])
+        out.append((kcode, canonical_form(lone[1]), spots))
+    return out
 
 
 def _pair_generic(d: Deck, k: Graph, total_edges: int) -> tuple[str, set[int]]:
-    evidence = _order1_evidence(d, k)
+    evidence = _cards(d).ask(_order1_evidence, d, k)
     if evidence:
         icodes = {icode for _, icode, _ in evidence}
         if len(icodes) != 1:
@@ -472,7 +468,7 @@ def _pair_critical(
     cards = _cards(d)
     evidence: dict[str, set[int] | None] = {}
     for code in sorted(set(non)):
-        h = cards.decoded[code]
+        h = cards.ask(from_graph6, code)
         for flip in (False, True):
             g2 = h.complement() if flip else h
             base = k.complement() if flip else k
@@ -487,7 +483,7 @@ def _pair_critical(
                     continue
                 icode, quotient, pos = got
                 if flip:
-                    icode = canonical_form(from_graph6(icode).complement())
+                    icode = canonical_form(cards.ask(from_graph6, icode).complement())
                 spots = (
                     _consistent_positions(cards, base, quotient, pos)
                     if quotient is not None
@@ -517,12 +513,12 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     dk, non = cards.split(k)
     if len(dk) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
-    total_edges = cards.edge_count()
+    total_edges = _edge_count(d.n, cards.graphs())
     if cards.ask(is_critically_indecomposable, k):
         icode, positions = _pair_critical(d, k, non, total_edges)
     else:
         icode, positions = _pair_generic(d, k, total_edges)
-    return from_graph6(icode), tuple(sorted(positions))
+    return cards.ask(from_graph6, icode), tuple(sorted(positions))
 
 
 # -- family predicates ---------------------------------------------------------
@@ -588,9 +584,9 @@ def _component_keys(_: int, g: Graph) -> list[tuple[int, str]]:
     return [(0, canonical_form(g.induced_subgraph(comp))) for comp in g.components()]
 
 
-def _rebuild_from_components(n: int, cards: list[Graph], known: Mapping[str, Graph]) -> Graph:
+def _rebuild_from_components(n: int, cards: list[Graph], ask: Callable) -> Graph:
     pool = Counter(key for card in cards for key in _component_keys(0, card))
-    parts = [p for _, p in _largest_first(pool, n, _component_keys, "component", known)]
+    parts = [p for _, p in _largest_first(pool, n, _component_keys, "component", ask)]
     if sum(p.n for p in parts) != n or len(parts) < 2:
         raise DeckIntegrityError("components do not assemble to the right order")
     # parts arrive sorted by code; a stable sort by order keeps that within an order
@@ -598,20 +594,21 @@ def _rebuild_from_components(n: int, cards: list[Graph], known: Mapping[str, Gra
     return disjoint_union(parts)
 
 
-def _degenerate_rebuild(n: int, cards: list[Graph], known: Mapping[str, Graph]) -> Graph | None:
+def _degenerate_rebuild(n: int, cards: list[Graph], ask: Callable) -> Graph | None:
     """The degenerate graph behind the n cards, or None when more than one
     card is connected and more than one is co-connected, which no deck of a
     degenerate graph allows.
 
     Pools components across cards and repeatedly removes the largest one
     together with the components attributable to it; the series case goes
-    through complementation. Component codes in known are not decoded again.
+    through complementation. Component codes are decoded through ask, the
+    card table's.
     """
     if sum(1 for c in cards if c.is_connected()) <= 1:
-        return _rebuild_from_components(n, cards, known)
+        return _rebuild_from_components(n, cards, ask)
     flipped = [c.complement() for c in cards]
     if sum(1 for c in flipped if c.is_connected()) <= 1:
-        return _rebuild_from_components(n, flipped, known).complement()
+        return _rebuild_from_components(n, flipped, ask).complement()
     return None
 
 
@@ -620,7 +617,7 @@ def reconstruct_degenerate(d: Deck) -> Graph:
     if d.n < 3:
         raise ValueError("degenerate reconstruction needs at least three cards")
     cards = _cards(d)
-    g = _degenerate_rebuild(d.n, cards.graphs, cards.decoded)
+    g = _degenerate_rebuild(d.n, cards.graphs(), cards.ask)
     if g is None:
         raise DeckIntegrityError("deck does not come from a degenerate graph")
     return g
@@ -653,7 +650,7 @@ def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
 
     found = None
     for t, code in sorted({(t, canonical_form(p)) for t, p in tagged}):
-        part = from_graph6(code)
+        part = cards.ask(from_graph6, code)
         for u in range(part.n):
             shrunk = canonical_form(part.delete_vertex(u))
             if shrunk not in orbit_codes[t]:
@@ -678,7 +675,8 @@ def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
             if len(hits) != 1:
                 raise DeckIntegrityError("shrunken interval position is not unique")
             parts = [
-                from_graph6(code) if pos == hits[0] else p for pos, p in dec.intervals
+                cards.ask(from_graph6, code) if pos == hits[0] else p
+                for pos, p in dec.intervals
             ]
             return inflate(dec.skeleton, parts), "multi-interval splice"
         raise DeckIntegrityError("no card exhibits the shrunken interval")
@@ -703,9 +701,9 @@ def _vertex_transitive_rebuild(
     want = Counter(code for _, code in full.elements())
     want[SINGLETON_CODE] -= 1
     degree = k.degree(0)
-    cards = _cards(d).by_code
+    cards = _cards(d)
     for card_code in sorted(set(non)):
-        dec, _, code = cards[card_code]
+        dec, _, code = cards.card(card_code)
         if dec.kind is not Kind.PRIME or code != ck1:
             continue
         if Counter(canonical_form(p) for _, p in dec.intervals) != want:
@@ -737,13 +735,13 @@ def _relaxed_positions(d: Deck, k: Graph, witnesses: list[int], icode: str) -> s
     cards = _cards(d)
     codes = [cards.ask(canonical_form, k.delete_vertex(v)) for v in range(k.n)]
     wcodes = {codes[w] for w in witnesses}
-    evidence = _order1_evidence(d, k)
+    evidence = cards.ask(_order1_evidence, d, k)
     positions = set().union(*(spots for code, _, spots in evidence if code in wcodes))
     # No card shows the unseen witness classes, so no singleton deletion
     # produces them; the inflated vertex itself must sit in one.
     unseen = wcodes - {code for code, _, _ in evidence}
     positions.update(v for v in range(k.n) if codes[v] in unseen)
-    return _edge_consistent(k, icode, positions, cards.edge_count())
+    return _edge_consistent(k, icode, positions, _edge_count(d.n, cards.graphs()))
 
 
 def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
@@ -752,7 +750,7 @@ def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
     oix = orbit_index(cards.ask(automorphism_orbits, k))
     if cards.ask(is_critically_indecomposable, k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
-    if not _order1_evidence(d, k):
+    if not cards.ask(_order1_evidence, d, k):
         if len(positions) != 1:
             raise DeckIntegrityError("unique inflation point expected")
         return _inflate_at(k, positions[0], part), "size-two interval at unique position"
@@ -780,9 +778,9 @@ def _unsupported(reason: str) -> ReconstructionResult:
 def _reconstruct_core(d: Deck) -> ReconstructionResult:
     if d.n < 3:
         return _unsupported("decks with fewer than three cards are ambiguous in general")
+    cards = _cards(d)
     try:
-        cards = _cards(d)
-        g = _degenerate_rebuild(d.n, cards.graphs, cards.decoded)
+        g = _degenerate_rebuild(d.n, cards.graphs(), cards.ask)
     except DeckIntegrityError as exc:
         return _unsupported(str(exc))
     provenance = "degenerate components"
@@ -805,7 +803,8 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
             return _unsupported(NOT_DECOMPOSABLE)
         except CapabilityError as exc:
             return _unsupported(str(exc))
-    if make_deck(g) != d:
+    # the single large branch has built this deck already, for its splice
+    if cards.ask(make_deck, g) != d:
         return _unsupported(NOT_DECOMPOSABLE)
     return ReconstructionResult("reconstructed", graph=g, provenance=provenance)
 

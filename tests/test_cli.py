@@ -150,6 +150,15 @@ def test_oversized_graph_exits_2(capsys):
     assert code == 2
 
 
+def test_oversized_deck_exits_2(capsys, tmp_path):
+    # 65 cards on 64 vertices: the deck of a graph past the 64-vertex cap
+    path = tmp_path / "big.deck"
+    path.write_text((empty_graph(64).to_graph6() + "\n") * 65)
+    code, _, err = run(capsys, "reconstruct", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_decompose_of_the_empty_graph_exits_2(capsys):
     code, _, err = run(capsys, "decompose", "?")
     assert code == 2

@@ -38,6 +38,8 @@ def test_deck_validation():
     p4 = canonical_form(path_graph(4))
     with pytest.raises(DeckError):
         Deck(4, (p4,) * 4)  # card order 4 != n-1
+    with pytest.raises(DeckError):
+        Deck(65, (empty_graph(64).to_graph6(),) * 65)  # past the 64-vertex graph cap
     a, b = sorted([canonical_form(empty_graph(2)), canonical_form(complete_graph(2))])
     assert Deck(3, (b, a, a)).cards == (a, a, b)  # cards are sorted
 

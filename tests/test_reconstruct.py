@@ -1,5 +1,6 @@
 import importlib
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -39,6 +40,9 @@ from deckrecon.modular import Kind
 from deckrecon.oracle import _open_case, enumerate_graphs
 
 from test_graphs import random_graph
+
+# the package re-exports a function under the module's name
+rc = importlib.import_module("deckrecon.reconstruct")
 
 K2 = complete_graph(2)
 K1 = empty_graph(1)
@@ -242,11 +246,12 @@ def test_reconstruct_examples(c5, bull):
 
 
 def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
-    # the package re-exports a function under the module's name
-    rc = importlib.import_module("deckrecon.reconstruct")
+    # every card is decomposed once, and no code is decoded twice nor a deck
+    # built twice for one labelled graph in a call, the final check included
     dk = importlib.import_module("deckrecon.deck")
     decomposed = []
     decoded = []
+    built = []
 
     def recording(g):
         decomposed.append(canonical_form(g))
@@ -256,21 +261,32 @@ def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
         decoded.append(code)
         return from_graph6(code)
 
+    def building(g):
+        built.append((g.n, g.adj))
+        return make_deck(g)
+
     monkeypatch.setattr(rc, "decompose", recording)
     monkeypatch.setattr(rc, "from_graph6", decoding)
     monkeypatch.setattr(dk, "from_graph6", decoding)
+    monkeypatch.setattr(rc, "make_deck", building)
     # P4 + K1: a connected card is its own single component
     p4_k1 = (disjoint_union([path_graph(4), K1]), "degenerate components")
     for g, provenance in branch_examples(c5, bull) + [p4_k1]:
         d = make_deck(g)
         rc._cards.cache_clear()
-        decomposed.clear()
-        decoded.clear()
+        for calls in (decomposed, decoded, built):
+            calls.clear()
         assert_reconstructs(g, provenance)
-        assert decoded, provenance
-        for calls in (decomposed, decoded):
-            again = [code for code, q in Counter(calls).items() if q > 1 and code in d.cards]
+        assert decoded and built, provenance
+        again = [code for code, q in Counter(decomposed).items() if q > 1 and code in d.cards]
+        assert not again, (provenance, again)
+        for calls in (decoded, built):
+            again = [call for call, q in Counter(calls).items() if q > 1]
             assert not again, (provenance, again)
+        # no memo key refers back to the table, so dropping it frees it at once
+        table = weakref.ref(rc._cards(d))
+        rc._cards.cache_clear()
+        assert table() is None, provenance
 
 
 def decomposable_decks_up_to_seven_vertices():
@@ -284,7 +300,6 @@ def decomposable_decks_up_to_seven_vertices():
 def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
     # canon's orbit and labelling searches and the criticality test go
     # through the card table, so none repeats a labelled graph in one deck
-    rc = importlib.import_module("deckrecon.reconstruct")
     calls = []
 
     def recording(search):
@@ -333,8 +348,6 @@ def test_reconstruct_outcome_histogram_up_to_seven_vertices():
 
 
 def test_reconstruct_tests_criticality_once_per_pair_deck(monkeypatch):
-    # the package re-exports a function under the module's name
-    rc = importlib.import_module("deckrecon.reconstruct")
     calls = []
 
     def counting(k):
@@ -361,7 +374,6 @@ def test_reconstruct_canonicalises_each_large_graph_once_per_deck(monkeypatch):
     # an 11-vertex skeleton takes the relaxed pair branch: its deletions and
     # their induced copies are past canon's memo, so their codes are read
     # through the card table
-    rc = importlib.import_module("deckrecon.reconstruct")
     canon = importlib.import_module("deckrecon.canon")
     d = make_deck(from_graph6("K??BgqLZZ~^j"))
     calls = []
