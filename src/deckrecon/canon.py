@@ -1,11 +1,13 @@
 """Canonical labelling, isomorphism testing, automorphism orbits, containment.
 
-Canonicalisation runs equitable degree-partition refinement, then backtracks
-over cell orderings picking the lexicographically smallest adjacency
-bit-string. Automorphisms discovered as leaf collisions prune the search and
-supply the orbit partition. Exact up to the 64-vertex graph cap, but
-exponential on highly symmetric graphs (empty graphs, matchings), whichever
-of `canonical_form`, `canonical_labeling` and `automorphism_orbits` runs it.
+Canonicalisation is one search: equitable degree-partition refinement, then
+backtracking over cell orderings for the lexicographically smallest adjacency
+bit-string. Automorphisms discovered as leaf collisions prune it; each branch
+node keeps one union-find of the orbits of the automorphisms fixing its
+prefix and joins each new one once. `_symmetry` returns the canonical order
+and the orbit partition of that one search, and `canonical_labeling` and
+`automorphism_orbits` are its projections. Exact up to the 64-vertex graph
+cap, but exponential on highly symmetric graphs (empty graphs, matchings).
 
 `canonical_form` keeps a process-wide memo of the codes of small graphs,
 because reconstruction asks for the same cards again and again, within a
@@ -13,16 +15,16 @@ deck and across decks. It holds only the code string, keyed on the adjacency
 rows, for graphs on at most `MEMO_ORDER_LIMIT` (8) vertices, and keeps the
 `MEMO_SIZE` (2048) most recently used entries, about 0.7 MB. Both are fixed.
 `canonical_code`, which the catalog build calls on graphs that never repeat,
-and `canonical_labeling` and `automorphism_orbits` always search afresh.
+and `_symmetry` always search afresh.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from .graphs import Graph, bits_to_graph6
+from .graphs import Graph, _triangle_bits, bits_to_graph6
 
 MEMO_ORDER_LIMIT = 8
 MEMO_SIZE = 2048
@@ -62,32 +64,20 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             return cells
 
 
-def _leaf_bits(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
-    bits = []
-    for j in range(1, len(order)):
-        col = adj[order[j]]
-        for i in range(j):
-            bits.append(col >> order[i] & 1)
-    return tuple(bits)
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find over vertices (path halving)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
-def _orbit_finder(n: int, auts: Iterable[tuple[int, ...]]) -> Callable[[int], int]:
-    """Root lookup in the orbit partition the given automorphisms generate
-    (union-find with path halving)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in auts:
-        for x in range(n):
-            rx, ry = find(x), find(a[x])
-            if rx != ry:
-                parent[rx] = ry
-    return find
+def _join(parent: list[int], a: tuple[int, ...]) -> None:
+    """Merge every vertex with its image under the automorphism a."""
+    for x in range(len(a)):
+        rx, ry = _find(parent, x), _find(parent, a[x])
+        if rx != ry:
+            parent[rx] = ry
 
 
 def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
@@ -120,7 +110,7 @@ def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
                 else:
                     break
             plen = len(prefix) * (len(prefix) - 1) // 2
-            if plen and _leaf_bits(adj, prefix) > best_bits[:plen]:
+            if plen and _triangle_bits(adj, prefix) > best_bits[:plen]:
                 return
         target = -1
         size = n + 1
@@ -130,7 +120,7 @@ def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
                 size = len(c)
         if target < 0:
             order = [c[0] for c in cells]
-            bits = _leaf_bits(adj, order)
+            bits = _triangle_bits(adj, order)
             if first_bits is None:
                 first_bits, first_order = bits, order
             elif bits == first_bits:
@@ -140,16 +130,20 @@ def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
             elif bits == best_bits and order != best_order:
                 record(order, best_order)
             return
+        # Orbits of the known automorphisms fixing the individualised prefix
+        # pointwise; each one found since the last sibling is joined once.
+        parent = list(range(n))
+        joined = 0
         tried: list[int] = []
         for v in sorted(cells[target]):
             if tried:
-                # Skip branches mapped to an explored one by a known
-                # automorphism fixing the individualised prefix pointwise.
-                find = _orbit_finder(
-                    n, (a for a in auts if all(a[x] == x for x in fixed))
-                )
-                rv = find(v)
-                if any(find(u) == rv for u in tried):
+                for a in auts[joined:]:
+                    if all(a[x] == x for x in fixed):
+                        _join(parent, a)
+                joined = len(auts)
+                # skip branches mapped to an explored one
+                rv = _find(parent, v)
+                if any(_find(parent, u) == rv for u in tried):
                     continue
             rest = [u for u in cells[target] if u != v]
             search(cells[:target] + [[v], rest] + cells[target + 1 :], fixed + [v])
@@ -163,7 +157,7 @@ def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
 def canonical_code(n: int, adj: tuple[int, ...]) -> str:
     if n <= 1:
         return bits_to_graph6(n, [])
-    order, bits, _ = _search(n, adj, [list(range(n))])
+    _, bits, _ = _search(n, adj, [list(range(n))])
     return bits_to_graph6(n, bits)
 
 
@@ -179,13 +173,26 @@ def canonical_form(g: Graph) -> str:
     return canonical_code(g.n, g.adj)
 
 
+def _symmetry(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """(canonical order, orbits) from one search: order[pos] is the vertex at
+    canonical position pos; the orbits are those of the full automorphism
+    group, each sorted, listed by smallest vertex."""
+    if g.n <= 1:
+        return tuple(range(g.n)), [tuple(range(g.n))] if g.n else []
+    order, _, auts = _search(g.n, g.adj, [list(range(g.n))])
+    parent = list(range(g.n))
+    for a in auts:
+        _join(parent, a)
+    classes: dict[int, list[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(_find(parent, v), []).append(v)
+    return tuple(order), list(map(tuple, classes.values()))
+
+
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation lab with lab[v] = canonical position of v."""
-    if g.n <= 1:
-        return tuple(range(g.n))
-    order, _, _ = _search(g.n, g.adj, [list(range(g.n))])
     lab = [0] * g.n
-    for pos, v in enumerate(order):
+    for pos, v in enumerate(_symmetry(g)[0]):
         lab[v] = pos
     return tuple(lab)
 
@@ -201,14 +208,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
     """Exact orbit partition of the full automorphism group; the same search
     as canonical_form, so just as exponential on highly symmetric graphs."""
-    if g.n <= 1:
-        return [tuple(range(g.n))] if g.n else []
-    _, _, auts = _search(g.n, g.adj, [list(range(g.n))])
-    find = _orbit_finder(g.n, auts)
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(find(v), []).append(v)
-    return sorted((tuple(sorted(c)) for c in classes.values()), key=lambda c: c[0])
+    return _symmetry(g)[1]
 
 
 def orbit_index(orbits: list[tuple[int, ...]]) -> dict[int, int]:

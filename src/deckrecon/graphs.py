@@ -192,13 +192,14 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
 # zero-padded to a byte boundary.
 
 
-def triangle_bits(g: Graph) -> list[int]:
+def _triangle_bits(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """The graph6 body bits of the graph with vertex order[i] renamed to i."""
     bits = []
-    for j in range(1, g.n):
-        col = g.adj[j]
+    for j in range(1, len(order)):
+        col = adj[order[j]]
         for i in range(j):
-            bits.append(col >> i & 1)
-    return bits
+            bits.append(col >> order[i] & 1)
+    return tuple(bits)
 
 
 def bits_to_graph6(n: int, bits: Sequence[int]) -> str:
@@ -218,7 +219,7 @@ def bits_to_graph6(n: int, bits: Sequence[int]) -> str:
 
 
 def to_graph6(g: Graph) -> str:
-    return bits_to_graph6(g.n, triangle_bits(g))
+    return bits_to_graph6(g.n, _triangle_bits(g.adj, range(g.n)))
 
 
 def _check_char(ch: str) -> int:

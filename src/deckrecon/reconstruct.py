@@ -24,9 +24,9 @@ from typing import Any, Callable, NamedTuple
 from .canon import (
     CapabilityError,
     _induced_copies,
+    _symmetry,
     automorphism_orbits,
     canonical_form,
-    canonical_labeling,
     is_isomorphic,
     orbit_index,
 )
@@ -171,14 +171,6 @@ def singleton_count(d: Deck, k: Graph) -> int:
     return s
 
 
-def _position_map(lab: tuple[int, ...]) -> list[int]:
-    """Inverse of a canonical labelling: canonical position -> vertex."""
-    inv = [0] * len(lab)
-    for v, pos in enumerate(lab):
-        inv[pos] = v
-    return inv
-
-
 def _largest_first(
     pool: Counter[tuple[int, str]],
     total: int,
@@ -249,12 +241,13 @@ def _orbit_tagger(
 ) -> Callable[[ModularDecomposition], list[tuple[int, Graph]]]:
     """For a card whose quotient is k: each of its intervals, in position
     order, tagged with the k-orbit of its position."""
-    oix = orbit_index(cards.ask(automorphism_orbits, k))
-    inv_k = _position_map(cards.ask(canonical_labeling, k))
+    order_k, orbs = cards.ask(_symmetry, k)
+    oix = orbit_index(orbs)
 
     def tagged(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
-        labs = cards.ask(canonical_labeling, dec.skeleton)
-        return [(oix[inv_k[labs[pos]]], part) for pos, part in dec.intervals]
+        # equal canonical positions map the card's quotient onto k
+        to_k = dict(zip(cards.ask(_symmetry, dec.skeleton)[0], order_k))
+        return [(oix[to_k[pos]], part) for pos, part in dec.intervals]
 
     return tagged
 
@@ -381,12 +374,11 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
 
 def _consistent_positions(cards: _CardTable, k: Graph, s: Graph, pos: int) -> set[int]:
     """Images of pos under every embedding of s into k as an induced subgraph."""
-    labs = cards.ask(canonical_labeling, s)
+    rank = cards.ask(_symmetry, s)[0].index(pos)
     out: set[int] = set()
     for xs, sub in _induced_copies(k, s, partial(cards.ask, canonical_form)):
-        image = _position_map(cards.ask(canonical_labeling, sub))[labs[pos]]
-        orbs = cards.ask(automorphism_orbits, sub)
-        out.update(xs[j] for j in orbs[orbit_index(orbs)[image]])
+        order, orbs = cards.ask(_symmetry, sub)
+        out.update(xs[j] for j in orbs[orbit_index(orbs)[order[rank]]])
     return out
 
 
@@ -544,8 +536,8 @@ def in_family_F(g: Graph) -> bool:
 def _lifting_vertices(g: Graph, ask: Callable = lambda search, h: search(h)) -> list[int]:
     """Vertices w such that no vertex outside w's orbit has w's card, and the
     orbits of w's card lift back to orbits of g; ask(search, h) runs each
-    code and orbit search, by default afresh."""
-    oix = orbit_index(ask(automorphism_orbits, g))
+    code and symmetry search, by default afresh."""
+    oix = orbit_index(ask(_symmetry, g)[1])
     cards = [ask(canonical_form, g.delete_vertex(v)) for v in range(g.n)]
     out = []
     for w in range(g.n):
@@ -554,7 +546,7 @@ def _lifting_vertices(g: Graph, ask: Callable = lambda search, h: search(h)) -> 
         back = [x for x in range(g.n) if x != w]
         if all(
             len({oix[back[i]] for i in orb}) == 1
-            for orb in ask(automorphism_orbits, g.delete_vertex(w))
+            for orb in ask(_symmetry, g.delete_vertex(w))[1]
         ):
             out.append(w)
     return out
@@ -633,7 +625,7 @@ def _inflate_at(k: Graph, pos: int, part: Graph) -> Graph:
 def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
     tagged = intervals_multi(d, k)
     cards = _cards(d)
-    orbs = cards.ask(automorphism_orbits, k)
+    orbs = cards.ask(_symmetry, k)[1]
     full: Counter[tuple[int, str]] = Counter(
         (t, canonical_form(p)) for t, p in tagged
     )
@@ -747,7 +739,7 @@ def _relaxed_positions(d: Deck, k: Graph, witnesses: list[int], icode: str) -> s
 def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
     part, positions = interval_single_pair(d, k)
     cards = _cards(d)
-    oix = orbit_index(cards.ask(automorphism_orbits, k))
+    oix = orbit_index(cards.ask(_symmetry, k)[1])
     if cards.ask(is_critically_indecomposable, k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
     if not cards.ask(_order1_evidence, d, k):

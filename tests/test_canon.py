@@ -27,6 +27,37 @@ from deckrecon.reconstruct import reconstruct
 from test_graphs import random_graph
 
 
+def matching(n):
+    return Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+# vertex-transitive graphs whose search trees prune by automorphisms
+SYMMETRIC = [
+    empty_graph(10),
+    matching(12),
+    matching(14),
+    *(disjoint_union([cycle_graph(5)] * k) for k in (2, 3, 4)),
+    petersen(),
+]
+
+
+def symmetric_relabellings():
+    """(graph, relabelled copy) for three seeded relabellings of each graph."""
+    rng = random.Random(21)
+    for g in SYMMETRIC:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            yield g, g.relabel(perm)
+
+
 def test_canonical_form_is_relabel_invariant():
     rng = random.Random(42)
     for n in range(1, 10):
@@ -35,6 +66,8 @@ def test_canonical_form_is_relabel_invariant():
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_form(g) == canonical_form(g.relabel(perm))
+    for g, h in symmetric_relabellings():
+        assert canonical_form(h) == canonical_form(g)
 
 
 def test_canonical_form_separates_nonisomorphic():
@@ -56,6 +89,8 @@ def test_canonical_labeling_maps_onto_canonical_graph():
         g = random_graph(rng.randrange(1, 10), rng)
         lab = canonical_labeling(g)
         assert g.relabel(lab) == from_graph6(canonical_form(g))
+    for _, h in symmetric_relabellings():
+        assert h.relabel(canonical_labeling(h)) == from_graph6(canonical_form(h))
 
 
 def test_is_isomorphic_basic():
@@ -105,6 +140,8 @@ def test_orbits_of_symmetric_graphs():
     assert automorphism_orbits(star) == [(0,), (1, 2, 3, 4, 5, 6)]
     assert automorphism_orbits(cycle_graph(13)) == [tuple(range(13))]
     assert automorphism_orbits(path_graph(13)) == [(v, 12 - v) for v in range(6)] + [(6,)]
+    for g, h in symmetric_relabellings():
+        assert automorphism_orbits(h) == [tuple(range(g.n))]
 
 
 def test_orbit_index():

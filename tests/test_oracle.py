@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from deckrecon import (
     CapabilityError,
     Deck,
+    Graph,
     ReconstructionResult,
     canonical_form,
     complete_graph,
@@ -34,10 +37,25 @@ def test_catalog_counts():
 
 
 def test_catalog_entries_are_canonical_and_distinct():
-    cat = enumerate_graphs(5)
-    assert list(cat.classes) == sorted(set(cat.classes))
-    for code in cat.classes:
-        assert canonical_form(from_graph6(code)) == code
+    for n in range(8):
+        cat = enumerate_graphs(n)
+        assert list(cat.classes) == sorted(set(cat.classes))
+        for code in cat.classes:
+            assert canonical_form(from_graph6(code)) == code
+
+
+def test_fresh_catalog_build_pins_the_canonical_codes():
+    # A clean checkout builds its catalogs with the canon under test, and an
+    # older cache on disk is trusted by its line count alone; pinning the
+    # n = 7 text catches a canon that picks different codes either way.
+    classes = (canonical_form(Graph(0, ())),)
+    for n in range(1, 8):
+        classes = oracle._build_catalog(n, classes)
+        assert len(classes) == KNOWN_COUNTS[n]
+    text = "".join(code + "\n" for code in classes)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4013d256b7784bd47aa92592394bf9bbc758e520d14692c5fd901165ba9f4948"
+    )
 
 
 def test_catalog_closed_under_complement():

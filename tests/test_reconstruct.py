@@ -11,7 +11,6 @@ from deckrecon import (
     Graph,
     automorphism_orbits,
     canonical_form,
-    canonical_labeling,
     complete_graph,
     critically_indecomposable,
     cycle_graph,
@@ -298,8 +297,9 @@ def decomposable_decks_up_to_seven_vertices():
 
 
 def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
-    # canon's orbit and labelling searches and the criticality test go
-    # through the card table, so none repeats a labelled graph in one deck
+    # canon's symmetry search (labelling and orbits at once) and the
+    # criticality test go through the card table, so none repeats a labelled
+    # graph in one deck
     calls = []
 
     def recording(search):
@@ -309,7 +309,7 @@ def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
 
         return wrapper
 
-    for search in (automorphism_orbits, canonical_labeling, is_critically_indecomposable):
+    for search in (rc._symmetry, is_critically_indecomposable):
         monkeypatch.setattr(rc, search.__name__, recording(search))
     examples = [make_deck(g) for g, _ in branch_examples(c5, bull)]
     total = Counter()
@@ -321,7 +321,7 @@ def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
         assert not again, (d, again)
         if i >= len(examples):
             total.update(name for name, _, _ in calls)
-    assert sum(total.values()) - total["is_critically_indecomposable"] <= 2667
+    assert total["_symmetry"] <= 2027
     assert total["is_critically_indecomposable"] == 228
 
 
