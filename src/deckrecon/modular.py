@@ -175,25 +175,18 @@ def inflate(k: Graph, parts: list[Graph] | tuple[Graph, ...]) -> Graph:
     total = sum(p.n for p in parts)
     if total > 64:
         raise ValueError("inflation exceeds 64 vertices")
-    offsets = []
-    acc = 0
+    blocks, offset = [], 0
     for p in parts:
-        offsets.append(acc)
-        acc += p.n
-    rows = [0] * total
-    for i, p in enumerate(parts):
-        base = offsets[i]
-        for v in range(p.n):
-            rows[base + v] |= p.adj[v] << base
-        for j in _bits(k.adj[i]):
-            if j <= i:
-                continue
-            block_i = ((1 << p.n) - 1) << base
-            block_j = ((1 << parts[j].n) - 1) << offsets[j]
-            for v in range(p.n):
-                rows[base + v] |= block_j
-            for v in range(parts[j].n):
-                rows[offsets[j] + v] |= block_i
+        blocks.append(((1 << p.n) - 1) << offset)
+        offset += p.n
+    # a row is its part's row shifted into the block, plus every neighbour block
+    rows: list[int] = []
+    for p, nbrs in zip(parts, k.adj):
+        outside = 0
+        for j in _bits(nbrs):
+            outside |= blocks[j]
+        base = len(rows)
+        rows.extend(row << base | outside for row in p.adj)
     return Graph(total, tuple(rows))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -148,15 +148,7 @@ class ClaimReport:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "max_n": self.max_n,
-            "tested": self.tested,
-            "passed": self.passed,
-            "failed": self.failed,
-            "witnesses": list(self.witnesses),
-            "seconds": self.seconds,
-        }
+        return {**asdict(self), "witnesses": list(self.witnesses)}
 
 
 def _sweep(lo: int, cases, hi: int | None = None):

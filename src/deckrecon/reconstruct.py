@@ -6,11 +6,13 @@ of them, one of size >= 3, or one of size exactly 2. Each branch recovers the
 intervals and splices a card back up to the original graph. Outcomes the
 theory leaves open (hereditary orbit sets; a size-2 interval whose target
 orbit cannot be pinned down) surface as first-class Unsupported results.
-Every answer about one deck lives in one memo, its card table's ask: card
+Every answer about one deck lives in one memo, its card table: card
 decodes, decompositions and skeleton codes, the skeleton split, the order-1
 evidence, canon's searches, the criticality test and the deck of each
 candidate graph. Each is computed on first use and dropped with the table, so
-no question repeats within a deck and no deck is built twice.
+no question repeats within a deck and no deck is built twice. The public
+steps take the deck and look its table up once; every private step takes
+the table itself, with the deck at cards.deck.
 """
 
 from __future__ import annotations
@@ -54,9 +56,7 @@ NOT_DECOMPOSABLE = (
 
 
 class UnsupportedCase(Exception):
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+    """A case the theory leaves open; the message is the reason."""
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,11 @@ class _CardTable:
     """What reconstruction reads off the cards of one deck, in one memo.
 
     ask(fn, *args) computes fn(*args) on first use and keeps it for the
-    deck: decodes, card facts, canon's searches, the split, the evidence and
-    the decks of candidate graphs alike. Keys hold codes, graphs or the deck,
-    never the table, so no table is a reference cycle; a fact about the
-    deck takes the deck and reads its table through _cards.
+    deck: decodes, canon's searches, criticality and the decks of candidate
+    graphs alike. know(fact, *args) does the same for a fact about the deck,
+    fact(table, *args): a card's decomposition, the split, the evidence.
+    Both key on (fn, *args), so no key holds the deck or the table: no
+    question hashes the deck and no table is a reference cycle.
     """
 
     def __init__(self, d: Deck) -> None:
@@ -104,15 +105,22 @@ class _CardTable:
             answer = self._answers[key] = fn(*args)
         return answer
 
+    def know(self, fact: Callable[..., Any], *args: Any) -> Any:
+        key = (fact, *args)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = fact(self, *args)
+        return answer
+
     def graphs(self) -> list[Graph]:
         return [self.ask(from_graph6, code) for code in self.deck.cards]
 
     def card(self, code: str) -> _Card:
-        return self.ask(_card, self.deck, code)
+        return self.know(_card, code)
 
     def split(self, k: Graph) -> tuple[list[str], list[str]]:
         """Cards whose skeleton matches k, and the rest, in deck order; shared, never changed."""
-        return self.ask(_split, self.deck, k)
+        return self.know(_split, k)
 
     def prime(self, code: str) -> ModularDecomposition:
         dec = self.card(code).dec
@@ -121,21 +129,19 @@ class _CardTable:
         return dec
 
 
-def _card(d: Deck, code: str) -> _Card:
+def _card(cards: _CardTable, code: str) -> _Card:
     """A card's decomposition, skeleton and skeleton code; the degenerate branch asks none."""
-    cards = _cards(d)
     g = cards.ask(from_graph6, code)
     dec = decompose(g)
     k = _skeleton_of(g, dec)
     return _Card(dec, k, cards.ask(canonical_form, k))
 
 
-def _split(d: Deck, k: Graph) -> tuple[list[str], list[str]]:
-    cards = _cards(d)
+def _split(cards: _CardTable, k: Graph) -> tuple[list[str], list[str]]:
     target = cards.ask(canonical_form, k)
     dk: list[str] = []
     non: list[str] = []
-    for code in d.cards:
+    for code in cards.deck.cards:
         (dk if cards.card(code).skeleton_code == target else non).append(code)
     return dk, non
 
@@ -172,11 +178,11 @@ def singleton_count(d: Deck, k: Graph) -> int:
 
 
 def _largest_first(
+    cards: _CardTable,
     pool: Counter[tuple[int, str]],
     total: int,
     keys_of: Callable[[int, Graph], list[tuple[int, str]]],
     what: str,
-    ask: Callable,
 ) -> list[tuple[int, Graph]]:
     """Kelly-style attribution of a pool of tagged graph codes.
 
@@ -185,9 +191,9 @@ def _largest_first(
     multiplicity. Its one-vertex-deleted subgraphs, turned into pool keys by
     keys_of(tag, subgraph), are subtracted, and the next largest is taken.
     Returns the recovered (tag, part) pairs sorted by (tag, code); codes are
-    decoded through the card table's ask.
+    decoded through the card table.
     """
-    decode = partial(ask, from_graph6)
+    decode = partial(cards.ask, from_graph6)
     recovered: Counter[tuple[int, str]] = Counter()
     while pool:
         key = max(pool, key=lambda item: (decode(item[1]).n, item))
@@ -230,7 +236,7 @@ def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
         for t, part in tagged(cards.prime(code)):
             if part.n >= 2:
                 pool[(t, canonical_form(part))] += 1
-    out = _largest_first(pool, d.n - s, _interval_keys, "interval", cards.ask)
+    out = _largest_first(cards, pool, d.n - s, _interval_keys, "interval")
     if len(out) != m or sum(p.n for _, p in out) != d.n - s:
         raise DeckIntegrityError("recovered intervals do not account for the deck")
     return out
@@ -261,9 +267,7 @@ def _interval_keys(t: int, sub: Graph) -> list[tuple[int, str]]:
 
 def _lone_nonsingleton(dec) -> tuple[int, Graph] | None:
     nons = [(pos, p) for pos, p in dec.intervals if p.n >= 2]
-    if len(nons) != 1:
-        return None
-    return nons[0]
+    return nons[0] if len(nons) == 1 else None
 
 
 def _splice_unique(dec: ModularDecomposition, part: Graph) -> Graph:
@@ -344,7 +348,7 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
         shrunk.append(lone[1])
 
     candidates: dict[str, Graph] = {}
-    g = _degenerate_rebuild(size, shrunk, cards.ask)
+    g = _degenerate_rebuild(cards, size, shrunk)
     if g is not None:
         candidates[canonical_form(g)] = g
     else:
@@ -387,11 +391,10 @@ def _edge_consistent(k: Graph, icode: str, positions: set[int], total_edges: int
     return {p for p in positions if total_edges == k.edge_count() + k.degree(p) + extra}
 
 
-def _order1_evidence(d: Deck, k: Graph) -> list[tuple[str, str, set[int]]]:
+def _order1_evidence(cards: _CardTable, k: Graph) -> list[tuple[str, str, set[int]]]:
     """For each skeleton-changing card with a prime quotient on |K| - 1
     vertices: its skeleton code, the code of its size-2 interval, and the
-    skeleton vertices consistent with that interval. Asked through the table."""
-    cards = _cards(d)
+    skeleton vertices consistent with that interval. Known through the table."""
     out = []
     for code in sorted(set(cards.split(k)[1])):
         dec, skeleton, kcode = cards.card(code)
@@ -405,8 +408,8 @@ def _order1_evidence(d: Deck, k: Graph) -> list[tuple[str, str, set[int]]]:
     return out
 
 
-def _pair_generic(d: Deck, k: Graph, total_edges: int) -> tuple[str, set[int]]:
-    evidence = _cards(d).ask(_order1_evidence, d, k)
+def _pair_generic(cards: _CardTable, k: Graph, total_edges: int) -> tuple[str, set[int]]:
+    evidence = cards.know(_order1_evidence, k)
     if evidence:
         icodes = {icode for _, icode, _ in evidence}
         if len(icodes) != 1:
@@ -455,9 +458,8 @@ def _lone_pair_interval(p: Graph):
 
 
 def _pair_critical(
-    d: Deck, k: Graph, non: list[str], total_edges: int
+    cards: _CardTable, k: Graph, non: list[str], total_edges: int
 ) -> tuple[str, set[int]]:
-    cards = _cards(d)
     evidence: dict[str, set[int] | None] = {}
     for code in sorted(set(non)):
         h = cards.ask(from_graph6, code)
@@ -507,9 +509,9 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
     total_edges = _edge_count(d.n, cards.graphs())
     if cards.ask(is_critically_indecomposable, k):
-        icode, positions = _pair_critical(d, k, non, total_edges)
+        icode, positions = _pair_critical(cards, k, non, total_edges)
     else:
-        icode, positions = _pair_generic(d, k, total_edges)
+        icode, positions = _pair_generic(cards, k, total_edges)
     return cards.ask(from_graph6, icode), tuple(sorted(positions))
 
 
@@ -576,9 +578,9 @@ def _component_keys(_: int, g: Graph) -> list[tuple[int, str]]:
     return [(0, canonical_form(g.induced_subgraph(comp))) for comp in g.components()]
 
 
-def _rebuild_from_components(n: int, cards: list[Graph], ask: Callable) -> Graph:
-    pool = Counter(key for card in cards for key in _component_keys(0, card))
-    parts = [p for _, p in _largest_first(pool, n, _component_keys, "component", ask)]
+def _rebuild_from_components(cards: _CardTable, n: int, graphs: list[Graph]) -> Graph:
+    pool = Counter(key for g in graphs for key in _component_keys(0, g))
+    parts = [p for _, p in _largest_first(cards, pool, n, _component_keys, "component")]
     if sum(p.n for p in parts) != n or len(parts) < 2:
         raise DeckIntegrityError("components do not assemble to the right order")
     # parts arrive sorted by code; a stable sort by order keeps that within an order
@@ -586,21 +588,21 @@ def _rebuild_from_components(n: int, cards: list[Graph], ask: Callable) -> Graph
     return disjoint_union(parts)
 
 
-def _degenerate_rebuild(n: int, cards: list[Graph], ask: Callable) -> Graph | None:
-    """The degenerate graph behind the n cards, or None when more than one
-    card is connected and more than one is co-connected, which no deck of a
+def _degenerate_rebuild(cards: _CardTable, n: int, graphs: list[Graph]) -> Graph | None:
+    """The degenerate graph whose deck is the n graphs, or None when more than
+    one is connected and more than one is co-connected, which no deck of a
     degenerate graph allows.
 
-    Pools components across cards and repeatedly removes the largest one
-    together with the components attributable to it; the series case goes
-    through complementation. Component codes are decoded through ask, the
-    card table's.
+    Pools components across the graphs and repeatedly removes the largest
+    one together with the components attributable to it; the series case
+    goes through complementation. Component codes are decoded through the
+    card table.
     """
-    if sum(1 for c in cards if c.is_connected()) <= 1:
-        return _rebuild_from_components(n, cards, ask)
-    flipped = [c.complement() for c in cards]
-    if sum(1 for c in flipped if c.is_connected()) <= 1:
-        return _rebuild_from_components(n, flipped, ask).complement()
+    if sum(1 for g in graphs if g.is_connected()) <= 1:
+        return _rebuild_from_components(cards, n, graphs)
+    flipped = [g.complement() for g in graphs]
+    if sum(1 for g in flipped if g.is_connected()) <= 1:
+        return _rebuild_from_components(cards, n, flipped).complement()
     return None
 
 
@@ -609,7 +611,7 @@ def reconstruct_degenerate(d: Deck) -> Graph:
     if d.n < 3:
         raise ValueError("degenerate reconstruction needs at least three cards")
     cards = _cards(d)
-    g = _degenerate_rebuild(d.n, cards.graphs(), cards.ask)
+    g = _degenerate_rebuild(cards, d.n, cards.graphs())
     if g is None:
         raise DeckIntegrityError("deck does not come from a degenerate graph")
     return g
@@ -622,9 +624,8 @@ def _inflate_at(k: Graph, pos: int, part: Graph) -> Graph:
     return inflate(k, [part if i == pos else SINGLETON for i in range(k.n)])
 
 
-def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
-    tagged = intervals_multi(d, k)
-    cards = _cards(d)
+def _reconstruct_multi(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
+    tagged = intervals_multi(cards.deck, k)
     orbs = cards.ask(_symmetry, k)[1]
     full: Counter[tuple[int, str]] = Counter(
         (t, canonical_form(p)) for t, p in tagged
@@ -675,13 +676,11 @@ def _reconstruct_multi(d: Deck, k: Graph) -> tuple[Graph, str]:
 
     # every orbit's interval set is hereditary
     if len(orbs) == 1:
-        return _vertex_transitive_rebuild(d, k, full, non), "vertex-transitive skeleton"
+        return _vertex_transitive_rebuild(cards, k, full, non), "vertex-transitive skeleton"
     raise UnsupportedCase("hereditary orbits")
 
 
-def _vertex_transitive_rebuild(
-    d: Deck, k: Graph, full: Counter, non: list[str]
-) -> Graph:
+def _vertex_transitive_rebuild(cards: _CardTable, k: Graph, full: Counter, non: list[str]) -> Graph:
     """Rebuild around a singleton-deleted card; the skeleton is regular, so the
     missing vertex reattaches at the degree-deficient quotient positions."""
     if full[(0, SINGLETON_CODE)] < 1:
@@ -693,7 +692,6 @@ def _vertex_transitive_rebuild(
     want = Counter(code for _, code in full.elements())
     want[SINGLETON_CODE] -= 1
     degree = k.degree(0)
-    cards = _cards(d)
     for card_code in sorted(set(non)):
         dec, _, code = cards.card(card_code)
         if dec.kind is not Kind.PRIME or code != ck1:
@@ -715,34 +713,31 @@ def _vertex_transitive_rebuild(
     raise DeckIntegrityError("no singleton-deleted card matches the recovered intervals")
 
 
-def _reconstruct_single_large(d: Deck, k: Graph) -> tuple[Graph, str]:
-    part = interval_single_large(d, k)
-    cards = _cards(d)
+def _reconstruct_single_large(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
+    part = interval_single_large(cards.deck, k)
     dk, _ = cards.split(k)
     return _splice_unique(cards.prime(min(dk)), part), "single large interval splice"
 
 
-def _relaxed_positions(d: Deck, k: Graph, witnesses: list[int], icode: str) -> set[int]:
+def _relaxed_positions(cards: _CardTable, k: Graph, witnesses: list[int], icode: str) -> set[int]:
     """Evidence-consistent positions restricted to witness deletion classes."""
-    cards = _cards(d)
     codes = [cards.ask(canonical_form, k.delete_vertex(v)) for v in range(k.n)]
     wcodes = {codes[w] for w in witnesses}
-    evidence = cards.ask(_order1_evidence, d, k)
+    evidence = cards.know(_order1_evidence, k)
     positions = set().union(*(spots for code, _, spots in evidence if code in wcodes))
     # No card shows the unseen witness classes, so no singleton deletion
     # produces them; the inflated vertex itself must sit in one.
     unseen = wcodes - {code for code, _, _ in evidence}
     positions.update(v for v in range(k.n) if codes[v] in unseen)
-    return _edge_consistent(k, icode, positions, _edge_count(d.n, cards.graphs()))
+    return _edge_consistent(k, icode, positions, _edge_count(cards.deck.n, cards.graphs()))
 
 
-def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
-    part, positions = interval_single_pair(d, k)
-    cards = _cards(d)
+def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
+    part, positions = interval_single_pair(cards.deck, k)
     oix = orbit_index(cards.ask(_symmetry, k)[1])
     if cards.ask(is_critically_indecomposable, k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
-    if not cards.ask(_order1_evidence, d, k):
+    if not cards.know(_order1_evidence, k):
         if len(positions) != 1:
             raise DeckIntegrityError("unique inflation point expected")
         return _inflate_at(k, positions[0], part), "size-two interval at unique position"
@@ -756,7 +751,7 @@ def _reconstruct_single_pair(d: Deck, k: Graph) -> tuple[Graph, str]:
         witnesses = _relaxed_witnesses(k, lifting)
         if not witnesses:
             raise UnsupportedCase("size-two interval with unidentifiable orbit")
-        chosen = _relaxed_positions(d, k, witnesses, canonical_form(part))
+        chosen = _relaxed_positions(cards, k, witnesses, canonical_form(part))
         provenance = "size-two interval, orbit identified (relaxed)"
     if not chosen or len({oix[p] for p in chosen}) != 1:
         raise DeckIntegrityError("inflation points span several orbits")
@@ -772,7 +767,7 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
         return _unsupported("decks with fewer than three cards are ambiguous in general")
     cards = _cards(d)
     try:
-        g = _degenerate_rebuild(d.n, cards.graphs(), cards.ask)
+        g = _degenerate_rebuild(cards, d.n, cards.graphs())
     except DeckIntegrityError as exc:
         return _unsupported(str(exc))
     provenance = "degenerate components"
@@ -782,19 +777,17 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
             s = singleton_count(d, k)
             m = k.n - s
             if m >= 2:
-                g, provenance = _reconstruct_multi(d, k)
+                g, provenance = _reconstruct_multi(cards, k)
             elif m == 1 and d.n - s >= 3:
-                g, provenance = _reconstruct_single_large(d, k)
+                g, provenance = _reconstruct_single_large(cards, k)
             elif m == 1 and d.n - s == 2:
-                g, provenance = _reconstruct_single_pair(d, k)
+                g, provenance = _reconstruct_single_pair(cards, k)
             else:
                 return _unsupported(NOT_DECOMPOSABLE)
-        except UnsupportedCase as exc:
-            return _unsupported(exc.reason)
+        except (UnsupportedCase, CapabilityError) as exc:
+            return _unsupported(str(exc))
         except DeckIntegrityError:
             return _unsupported(NOT_DECOMPOSABLE)
-        except CapabilityError as exc:
-            return _unsupported(str(exc))
     # the single large branch has built this deck already, for its splice
     if cards.ask(make_deck, g) != d:
         return _unsupported(NOT_DECOMPOSABLE)

@@ -93,6 +93,43 @@ def test_canonical_labeling_maps_onto_canonical_graph():
         assert h.relabel(canonical_labeling(h)) == from_graph6(canonical_form(h))
 
 
+def srg_16_6_2_2():
+    """The 4x4 rook's graph and the Shrikhande graph, Cayley graphs on Z4 x Z4.
+
+    Both are strongly regular with parameters (16, 6, 2, 2), so refinement
+    splits no cell of either, yet they are not isomorphic.
+    """
+
+    def cayley(steps):
+        pairs = itertools.combinations(range(16), 2)
+        return Graph.from_edges(
+            16, [(a, b) for a, b in pairs if ((a // 4 - b // 4) % 4, (a - b) % 4) in steps]
+        )
+
+    rook = cayley({(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)})
+    shrikhande = cayley({(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
+    return rook, shrikhande
+
+
+def test_strongly_regular_pair_gets_one_code_each():
+    rng = random.Random(16)
+    pair = srg_16_6_2_2()
+    for graphs in (pair, [g.complement() for g in pair]):
+        codes = []
+        for g in graphs:
+            seen = set()
+            for _ in range(20):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = g.relabel(perm)
+                code = canonical_form(h)
+                assert h.relabel(canonical_labeling(h)) == from_graph6(code)
+                seen.add(code)
+            assert len(seen) == 1
+            codes.append(seen.pop())
+        assert codes[0] != codes[1]
+
+
 def test_is_isomorphic_basic():
     assert is_isomorphic(path_graph(4), path_graph(4).relabel([3, 1, 0, 2]))
     assert not is_isomorphic(path_graph(4), cycle_graph(4))

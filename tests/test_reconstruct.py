@@ -282,8 +282,14 @@ def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
         for calls in (decoded, built):
             again = [call for call, q in Counter(calls).items() if q > 1]
             assert not again, (provenance, again)
-        # no memo key refers back to the table, so dropping it frees it at once
-        table = weakref.ref(rc._cards(d))
+        # no memo key holds the deck or the table: no question hashes the
+        # deck, and dropping the table frees it at once
+        table = rc._cards(d)
+        held = [
+            key for key in table._answers if any(isinstance(x, (Deck, rc._CardTable)) for x in key)
+        ]
+        assert not held, (provenance, held)
+        table = weakref.ref(table)
         rc._cards.cache_clear()
         assert table() is None, provenance
 
