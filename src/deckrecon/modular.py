@@ -57,12 +57,7 @@ def is_module(g: Graph, mask: int) -> bool:
 
 def is_indecomposable(g: Graph) -> bool:
     """No proper module; graphs on at most 2 vertices count as indecomposable."""
-    full = (1 << g.n) - 1
-    return all(
-        _closure(g, 1 << u | 1 << v) == full
-        for v in range(g.n)
-        for u in range(v + 1, g.n)
-    )
+    return g.n <= 2 or len(maximal_proper_module_masks(g)) == g.n
 
 
 def indecomposable_masks(g: Graph) -> list[bool]:
@@ -97,26 +92,30 @@ def indecomposable_masks(g: Graph) -> list[bool]:
 def maximal_proper_module_masks(g: Graph) -> list[int]:
     """The maximal proper modules, by lowest vertex; singletons included.
 
-    g must be connected and co-connected: only then do two proper modules
-    that share v have a proper union, so that u joins the module grown from
-    v exactly when the closure of the two falls short of V.
+    Refining V - {0} until no vertex splits a part without it gives P(g, 0):
+    no module avoiding 0 is ever split, so the parts are the maximal ones.
+    0's module takes each part whose closure with 0 falls short of V. If g is
+    connected and co-connected the other parts are the other maximal proper
+    modules; on any g with n >= 3, fewer than n masks means a proper module.
     """
     full = (1 << g.n) - 1
-    out = []
-    covered = 0
-    for v in range(g.n):
-        if covered >> v & 1:
-            continue
-        m = 1 << v
-        # an earlier vertex lies in an earlier maximal module, disjoint from v's
-        for u in range(v + 1, g.n):
-            if not m >> u & 1:
-                c = _closure(g, m | 1 << u)
-                if c != full:
-                    m = c
-        out.append(m)
-        covered |= m
-    return out
+    parts = [full - 1] if g.n > 1 else []
+    pending = 1
+    while pending:
+        x = (pending & -pending).bit_length() - 1
+        pending ^= 1 << x
+        refined = []
+        for y in parts:
+            inside = g.adj[x] & y
+            if y >> x & 1 or inside in (0, y):
+                refined.append(y)
+            else:  # every vertex of y now misses a part it may split
+                refined += (inside, y ^ inside)
+                pending |= y
+        parts = refined
+    near = [y for y in parts if _closure(g, 1 | y & -y) != full]
+    far = sorted((y for y in parts if y not in near), key=lambda m: m & -m)
+    return [sum(near, 1)] + far
 
 
 def decompose(g: Graph) -> ModularDecomposition:

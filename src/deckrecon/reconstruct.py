@@ -507,7 +507,7 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     dk, non = cards.split(k)
     if len(dk) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
-    total_edges = _edge_count(d.n, cards.graphs())
+    total_edges = cards.ask(_edge_count, d.n, tuple(cards.graphs()))
     if cards.ask(is_critically_indecomposable, k):
         icode, positions = _pair_critical(cards, k, non, total_edges)
     else:
@@ -729,7 +729,8 @@ def _relaxed_positions(cards: _CardTable, k: Graph, witnesses: list[int], icode:
     # produces them; the inflated vertex itself must sit in one.
     unseen = wcodes - {code for code, _, _ in evidence}
     positions.update(v for v in range(k.n) if codes[v] in unseen)
-    return _edge_consistent(k, icode, positions, _edge_count(cards.deck.n, cards.graphs()))
+    total_edges = cards.ask(_edge_count, cards.deck.n, tuple(cards.graphs()))
+    return _edge_consistent(k, icode, positions, total_edges)
 
 
 def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -21,10 +22,12 @@ from deckrecon import (
     skeleton,
 )
 from deckrecon.graphs import from_graph6
-from deckrecon.modular import indecomposable_masks, is_module, maximal_proper_module_masks
+from deckrecon.modular import _closure, indecomposable_masks, is_module, maximal_proper_module_masks
 from deckrecon.oracle import enumerate_graphs
 
 from test_graphs import random_graph
+
+modular = importlib.import_module("deckrecon.modular")
 
 
 def mask(vs):
@@ -44,6 +47,38 @@ def modules(g):
             found.append(tuple(v for v in range(g.n) if m >> v & 1))
     found.sort(key=lambda t: (len(t), t))
     return found
+
+
+def pair_scan_is_indecomposable(g):
+    """Reference: every pair of vertices closes to all of V."""
+    full = (1 << g.n) - 1
+    return all(
+        _closure(g, 1 << u | 1 << v) == full
+        for v in range(g.n)
+        for u in range(v + 1, g.n)
+    )
+
+
+def pair_scan_maximal_modules(g):
+    """Reference for connected, co-connected g: grow each vertex's module by
+    every later vertex whose closure with it falls short of V, since two
+    proper modules that share a vertex then have a proper union."""
+    full = (1 << g.n) - 1
+    out = []
+    covered = 0
+    for v in range(g.n):
+        if covered >> v & 1:
+            continue
+        m = 1 << v
+        # an earlier vertex lies in an earlier maximal module, disjoint from v's
+        for u in range(v + 1, g.n):
+            if not m >> u & 1:
+                c = _closure(g, m | 1 << u)
+                if c != full:
+                    m = c
+        out.append(m)
+        covered |= m
+    return out
 
 
 def test_is_module_examples(p4, bull):
@@ -201,23 +236,33 @@ def test_maximal_modules_partition_prime_graphs():
         assert seen == (1 << g.n) - 1
 
 
-def _check_against_module_oracle(g):
-    # the subset-scan oracle lists every module, V and singletons included
-    proper = [mask(t) for t in modules(g) if len(t) < g.n]
-    assert is_indecomposable(g) == all(m.bit_count() == 1 for m in proper), g
+def _check_modules(g, indecomposable, maximal):
+    """Compare with a reference's primality and, on connected and co-connected
+    g, with its maximal proper modules by lowest vertex, from maximal()."""
+    assert is_indecomposable(g) == indecomposable, g
     if g.n < 3 or len(g.components()) > 1 or len(g.complement().components()) > 1:
         return
-    maximal = [m for m in proper if not any(m != o and m & o == m for o in proper)]
-    maximal.sort(key=lambda m: m & -m)
-    assert maximal_proper_module_masks(g) == maximal, g
+    masks = maximal()
+    assert maximal_proper_module_masks(g) == masks, g
     dec = decompose(g)
-    if len(maximal) == g.n:
+    if len(masks) == g.n:
         assert dec.kind is Kind.INDECOMPOSABLE
         return
     # PRIME intervals are the maximal modules, listed by lowest vertex
     assert dec.kind is Kind.PRIME
-    parts = [g.induced_subgraph([v for v in range(g.n) if m >> v & 1]) for m in maximal]
+    parts = [g.induced_subgraph([v for v in range(g.n) if m >> v & 1]) for m in masks]
     assert [p for _, p in dec.intervals] == parts, g
+
+
+def _check_against_module_oracle(g):
+    # the subset-scan oracle lists every module, V and singletons included
+    proper = [mask(t) for t in modules(g) if len(t) < g.n]
+
+    def maximal():
+        out = [m for m in proper if not any(m != o and m & o == m for o in proper)]
+        return sorted(out, key=lambda m: m & -m)
+
+    _check_modules(g, all(m.bit_count() == 1 for m in proper), maximal)
 
 
 def test_module_closure_agrees_with_subset_scan_on_catalogs():
@@ -239,6 +284,54 @@ def test_module_closure_agrees_with_subset_scan_past_eight_vertices():
                 sizes[rng.randrange(k)] += 1
             g = inflate(path_graph(k), [random_graph(s, rng) for s in sizes])
         _check_against_module_oracle(g)
+
+
+def _check_against_pair_scan(g):
+    _check_modules(g, pair_scan_is_indecomposable(g), lambda: pair_scan_maximal_modules(g))
+
+
+def test_modules_agree_with_pair_scan_past_sixteen_vertices():
+    # past the subset scan, the closure of every vertex pair is the reference
+    rng = random.Random(43)
+
+    def shuffled(g):
+        return g.relabel(rng.sample(range(g.n), g.n))
+
+    def inflated(host, n):
+        sizes = [1] * host.n
+        for _ in range(n - host.n):
+            sizes[rng.randrange(host.n)] += 1
+        return shuffled(inflate(host, [random_graph(s, rng, rng.random()) for s in sizes]))
+
+    for _ in range(12):
+        n = rng.randrange(17, 65)
+        g = random_graph(n, rng)
+        _check_against_pair_scan(g)
+        rest = random_graph(rng.randrange(1, 66 - n), rng) if n < 64 else empty_graph(1)
+        _check_against_pair_scan(disjoint_union([g.delete_vertex(0), rest]))
+        _check_against_pair_scan(inflated(path_graph(rng.randrange(4, 9)), n))
+        _check_against_pair_scan(inflated(cycle_graph(rng.randrange(5, 9)), n))
+    for n in (18, 32, 64):
+        for complemented in (False, True):
+            g = critically_indecomposable(n, complemented)
+            _check_against_pair_scan(g)
+            _check_against_pair_scan(shuffled(g))
+
+
+def test_modules_ask_at_most_n_minus_one_closures(monkeypatch):
+    calls = []
+
+    def counting(g, mask):
+        calls.append(mask)
+        return _closure(g, mask)
+
+    monkeypatch.setattr(modular, "_closure", counting)
+    assert is_indecomposable(critically_indecomposable(20))
+    assert len(calls) <= 19
+    calls.clear()
+    g = inflate(cycle_graph(16), [complete_graph(3), empty_graph(4)] + [complete_graph(4)] * 14)
+    assert g.n == 63 and decompose(g).kind is Kind.PRIME
+    assert len(calls) <= 62
 
 
 def test_half_graphs():

@@ -303,19 +303,19 @@ def decomposable_decks_up_to_seven_vertices():
 
 
 def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
-    # canon's symmetry search (labelling and orbits at once) and the
-    # criticality test go through the card table, so none repeats a labelled
-    # graph in one deck
+    # canon's symmetry search (labelling and orbits at once), the criticality
+    # test and the deck's edge count go through the card table, so none
+    # repeats its arguments in one deck
     calls = []
 
     def recording(search):
-        def wrapper(g):
-            calls.append((search.__name__, g.n, g.adj))
-            return search(g)
+        def wrapper(*args):
+            calls.append((search.__name__, *(tuple(a) if isinstance(a, list) else a for a in args)))
+            return search(*args)
 
         return wrapper
 
-    for search in (rc._symmetry, is_critically_indecomposable):
+    for search in (rc._symmetry, is_critically_indecomposable, rc._edge_count):
         monkeypatch.setattr(rc, search.__name__, recording(search))
     examples = [make_deck(g) for g, _ in branch_examples(c5, bull)]
     total = Counter()
@@ -326,9 +326,10 @@ def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
         again = [call for call, q in Counter(calls).items() if q > 1]
         assert not again, (d, again)
         if i >= len(examples):
-            total.update(name for name, _, _ in calls)
+            total.update(name for name, *_ in calls)
     assert total["_symmetry"] <= 2027
     assert total["is_critically_indecomposable"] == 228
+    assert total["_edge_count"] == 228
 
 
 def test_reconstruct_outcome_histogram_up_to_seven_vertices():
