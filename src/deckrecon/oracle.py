@@ -1,11 +1,23 @@
 """Exhaustive small-graph catalogs and brute-force cross-checks.
 
 Catalogs of isomorphism classes (as canonical graph6 codes) are built by
-augmentation from the previous order and cached on disk; class counts are
-checked against the known sequence 1, 1, 2, 4, 11, 34, 156, 1044, 12346
-before a catalog is trusted. On top of the catalogs sit a brute-force deck
-preimage oracle and a registry of named claims, each verified exhaustively
-over the relevant catalog range.
+augmentation from the previous order: every n-vertex graph is a one-vertex
+extension of one of its own cards. Two rules cut the extensions that are
+canonicalised:
+- one extension per orbit of the parent's automorphisms, because masks in
+  one orbit give isomorphic extensions;
+- only graphs with at most half of the C(n, 2) possible edges, whose
+  complements are then added.
+Neither can change a code: every class is still reached, and a class's
+code is what canon's search gives for any of its labellings.
+
+Catalogs are cached on disk when the cache can be written (a cache file
+that cannot be read or decoded is rebuilt, and one that cannot be written
+is skipped); class counts are checked against
+the known sequence 1, 1, 2, 4, 11, 34, 156, 1044, 12346 before a catalog is
+trusted. On top of the catalogs sit a brute-force deck preimage oracle and
+a registry of named claims, each verified exhaustively over the relevant
+catalog range.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter, defaultdict
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -20,6 +33,9 @@ from pathlib import Path
 
 from .canon import (
     CapabilityError,
+    _find,
+    _join,
+    _search,
     automorphism_orbits,
     canonical_code,
     canonical_form,
@@ -77,27 +93,84 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "deckrecon"
 
 
+def _mask_images(k: int, a: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation of the 2^k vertex masks that the vertex permutation a
+    of 0..k-1 induces."""
+    images = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        images[mask] = images[mask ^ low] | 1 << a[low.bit_length() - 1]
+    return tuple(images)
+
+
 def _build_catalog(n: int, prev: tuple[str, ...]) -> tuple[str, ...]:
-    seen: set[str] = set()
+    """The sorted codes of all n-vertex graphs, from the (n-1)-vertex catalog.
+
+    Vertex n-1 is joined to the parent's vertices in a mask. Masks in one
+    orbit of the parent's automorphisms give isomorphic graphs, so only the
+    first mask of each orbit is canonicalised; the automorphisms are those
+    canon's search records, each a leaf collision with equal bits and so a
+    true one (missing some only splits orbits, and skips fewer masks). Only
+    graphs with at most floor(m/2) of the m = C(n, 2) edges are built: such
+    a graph G extends its card G - v, which has e - deg(v) edges and so
+    room for deg(v) more. Every other class is the complement of one with
+    fewer than m/2 edges. Neither rule changes a code, since a class's code
+    does not depend on which of its labellings is canonicalised.
+    """
+    k = n - 1
+    m = n * k // 2
+    found: dict[str, tuple[int, ...]] = {}
     for code in prev:
         g = from_graph6(code)
-        for mask in range(1 << (n - 1)):
-            rows = [g.adj[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
-            rows.append(mask)
-            seen.add(canonical_code(n, tuple(rows)))
-    return tuple(sorted(seen))
+        room = m // 2 - g.edge_count()
+        if room < 0:
+            continue
+        orbit = list(range(1 << k))
+        for a in _search(k, g.adj, [list(range(k))])[2]:
+            _join(orbit, _mask_images(k, a))
+        done: set[int] = set()
+        for mask in range(1 << k):
+            if mask.bit_count() > room:
+                continue
+            root = _find(orbit, mask)
+            if root in done:
+                continue
+            done.add(root)
+            rows = tuple(g.adj[v] | (mask >> v & 1) << k for v in range(k)) + (mask,)
+            found.setdefault(canonical_code(n, rows), rows)
+    full = (1 << n) - 1
+    classes = set(found)
+    for rows in found.values():
+        if sum(r.bit_count() for r in rows) < m:  # twice the edge count
+            classes.add(canonical_code(n, tuple(full ^ 1 << v ^ r for v, r in enumerate(rows))))
+    return tuple(sorted(classes))
+
+
+def _store(path: Path, text: str) -> None:
+    """Write text to path through a temporary file, so that no reader sees
+    half of it; a cache that cannot be written is left as it is."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> GraphCatalog:
-    """Catalog of all graphs on n vertices (n <= 8), cached on disk."""
+    """Catalog of all graphs on n vertices (n <= 8), cached on disk when possible."""
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise CapabilityError(f"enumeration limited to {ENUMERATION_LIMIT} vertices")
     path = _cache_dir() / f"catalog-{n}.g6"
-    if path.is_file():
+    try:
         classes = tuple(path.read_text().split())
-        if len(classes) == KNOWN_COUNTS[n]:
-            return GraphCatalog(n, classes)
+    except (OSError, UnicodeDecodeError):
+        classes = ()
+    if len(classes) == KNOWN_COUNTS[n]:
+        return GraphCatalog(n, classes)
     if n == 0:
         classes = (canonical_form(Graph(0, ())),)
     else:
@@ -106,8 +179,7 @@ def enumerate_graphs(n: int) -> GraphCatalog:
         raise RuntimeError(
             f"catalog at n={n} has {len(classes)} classes, expected {KNOWN_COUNTS[n]}"
         )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(code + "\n" for code in classes))
+    _store(path, "".join(code + "\n" for code in classes))
     return GraphCatalog(n, classes)
 
 

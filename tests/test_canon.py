@@ -17,7 +17,7 @@ from deckrecon import (
     orbit_index,
     path_graph,
 )
-from deckrecon.canon import MEMO_ORDER_LIMIT, MEMO_SIZE, _small_code, canonical_code
+from deckrecon.canon import MEMO_ORDER_LIMIT, MEMO_SIZE, _search, _small_code, canonical_code
 from deckrecon.oracle import catalog_graphs, enumerate_graphs
 from deckrecon.graphs import from_graph6
 from deckrecon.modular import Kind, decompose
@@ -179,6 +179,19 @@ def test_orbits_of_symmetric_graphs():
     assert automorphism_orbits(path_graph(13)) == [(v, 12 - v) for v in range(6)] + [(6,)]
     for g, h in symmetric_relabellings():
         assert automorphism_orbits(h) == [tuple(range(g.n))]
+
+
+def test_recorded_automorphisms_preserve_adjacency():
+    # the catalog build skips extensions by the automorphisms the search
+    # records, so each must be a true one
+    graphs = [g for n in range(8) for g in catalog_graphs(n)]
+    graphs += [empty_graph(n) for n in range(10, 16)]
+    graphs += [matching(n) for n in range(10, 16, 2)]
+    graphs += [disjoint_union([cycle_graph(5)] * k) for k in (2, 3)]
+    for g in graphs:
+        for a in _search(g.n, g.adj, [list(range(g.n))])[2]:
+            assert sorted(a) == list(range(g.n)), g.to_graph6()
+            assert g.relabel(a) == g, (g.to_graph6(), a)
 
 
 def test_orbit_index():

@@ -16,6 +16,7 @@ from deckrecon import (
     path_graph,
 )
 from deckrecon import oracle
+from deckrecon.canon import canonical_code
 from deckrecon.graphs import from_graph6
 from deckrecon.oracle import (
     CLAIMS,
@@ -58,8 +59,43 @@ def test_fresh_catalog_build_pins_the_canonical_codes():
     )
 
 
+def full_mask_catalog(n, prev):
+    """The reference build: every one-vertex extension of every parent."""
+    seen = set()
+    for code in prev:
+        g = from_graph6(code)
+        for mask in range(1 << (n - 1)):
+            rows = [g.adj[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
+            rows.append(mask)
+            seen.add(canonical_code(n, tuple(rows)))
+    return tuple(sorted(seen))
+
+
+def test_catalog_build_matches_the_full_mask_build():
+    for n in range(1, 8):
+        prev = enumerate_graphs(n - 1).classes
+        assert oracle._build_catalog(n, prev) == full_mask_catalog(n, prev), n
+
+
+def test_catalog_build_canonicalises_one_extension_per_orbit_and_half_the_edge_counts(
+    monkeypatch,
+):
+    # 9,984 extensions of the 156 six-vertex graphs; up to parent automorphism
+    # and with at most 10 of the 21 edges, plus one complement per class with
+    # at most 10 edges, 3,070 remain
+    calls = []
+
+    def counted(n, adj):
+        calls.append(n)
+        return canonical_code(n, adj)
+
+    monkeypatch.setattr(oracle, "canonical_code", counted)
+    assert len(oracle._build_catalog(7, enumerate_graphs(6).classes)) == KNOWN_COUNTS[7]
+    assert len(calls) == 3070
+
+
 def test_catalog_closed_under_complement():
-    codes = set(enumerate_graphs(6).classes)
+    codes = set(enumerate_graphs(7).classes)
     for code in codes:
         assert canonical_form(from_graph6(code).complement()) in codes
 
@@ -68,6 +104,28 @@ def test_catalog_contains_named_graphs():
     codes = set(enumerate_graphs(5).classes)
     for g in (cycle_graph(5), path_graph(5), complete_graph(5), empty_graph(5)):
         assert canonical_form(g) in codes
+
+
+def test_catalog_cache_skips_what_it_cannot_read_or_write(monkeypatch, tmp_path):
+    # a directory where catalog-2.g6 belongs can be neither read nor
+    # replaced, a catalog-1.g6 that is not text is rebuilt, and a write goes
+    # through a temporary file that is gone after
+    (tmp_path / "catalog-2.g6").mkdir()
+    (tmp_path / "catalog-1.g6").write_bytes(b"\xff\n")
+    monkeypatch.setenv("DECKRECON_CACHE", str(tmp_path))
+    enumerate_graphs.cache_clear()
+    try:
+        assert enumerate_graphs(3).classes == full_mask_catalog(3, ("A?", "A_"))
+    finally:
+        enumerate_graphs.cache_clear()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "catalog-0.g6",
+        "catalog-1.g6",
+        "catalog-2.g6",
+        "catalog-3.g6",
+    ]
+    assert (tmp_path / "catalog-2.g6").is_dir()
+    assert (tmp_path / "catalog-1.g6").read_text() == "@\n"
 
 
 def test_enumeration_limit():
