@@ -66,20 +66,11 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v]))
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""

@@ -11,25 +11,21 @@ canonicalised:
 Neither can change a code: every class is still reached, and a class's
 code is what canon's search gives for any of its labellings.
 
-Catalogs are cached on disk when the cache can be written (a cache file
-that cannot be read or decoded is rebuilt, and one that cannot be written
-is skipped); class counts are checked against
-the known sequence 1, 1, 2, 4, 11, 34, 156, 1044, 12346 before a catalog is
-trusted. On top of the catalogs sit a brute-force deck preimage oracle and
+Each order is built once per process and kept in memory; nothing is read
+from or written to disk. Class counts are checked against the known
+sequence 1, 1, 2, 4, 11, 34, 156, 1044, 12346 before a catalog is
+returned. On top of the catalogs sit a brute-force deck preimage oracle and
 a registry of named claims, each verified exhaustively over the relevant
 catalog range.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter, defaultdict
-from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
-from pathlib import Path
 
 from .canon import (
     CapabilityError,
@@ -67,7 +63,6 @@ from .reconstruct import (
 
 ENUMERATION_LIMIT = 8
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
-CACHE_ENV = "DECKRECON_CACHE"
 
 
 class UnknownClaimError(ValueError):
@@ -76,21 +71,6 @@ class UnknownClaimError(ValueError):
 
 class ClaimRangeError(ValueError):
     """max_n is below every order a claim examines, so it would test nothing."""
-
-
-@dataclass(frozen=True)
-class GraphCatalog:
-    """All isomorphism classes of n-vertex graphs as sorted canonical codes."""
-
-    n: int
-    classes: tuple[str, ...]
-
-
-def _cache_dir() -> Path:
-    override = os.environ.get(CACHE_ENV)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "deckrecon"
 
 
 def _mask_images(k: int, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -146,51 +126,30 @@ def _build_catalog(n: int, prev: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(classes))
 
 
-def _store(path: Path, text: str) -> None:
-    """Write text to path through a temporary file, so that no reader sees
-    half of it; a cache that cannot be written is left as it is."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError:
-        with suppress(OSError):
-            tmp.unlink(missing_ok=True)
-
-
 @lru_cache(maxsize=None)
-def enumerate_graphs(n: int) -> GraphCatalog:
-    """Catalog of all graphs on n vertices (n <= 8), cached on disk when possible."""
+def enumerate_graphs(n: int) -> tuple[str, ...]:
+    """The sorted canonical codes of all graphs on n vertices (n <= 8)."""
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise CapabilityError(f"enumeration limited to {ENUMERATION_LIMIT} vertices")
-    path = _cache_dir() / f"catalog-{n}.g6"
-    try:
-        classes = tuple(path.read_text().split())
-    except (OSError, UnicodeDecodeError):
-        classes = ()
-    if len(classes) == KNOWN_COUNTS[n]:
-        return GraphCatalog(n, classes)
     if n == 0:
         classes = (canonical_form(Graph(0, ())),)
     else:
-        classes = _build_catalog(n, enumerate_graphs(n - 1).classes)
+        classes = _build_catalog(n, enumerate_graphs(n - 1))
     if len(classes) != KNOWN_COUNTS[n]:
         raise RuntimeError(
             f"catalog at n={n} has {len(classes)} classes, expected {KNOWN_COUNTS[n]}"
         )
-    _store(path, "".join(code + "\n" for code in classes))
-    return GraphCatalog(n, classes)
+    return classes
 
 
 def catalog_graphs(n: int) -> list[Graph]:
-    return [from_graph6(code) for code in enumerate_graphs(n).classes]
+    return [from_graph6(code) for code in enumerate_graphs(n)]
 
 
 @lru_cache(maxsize=None)
 def _deck_index(n: int) -> dict[tuple[str, ...], list[str]]:
     index: dict[tuple[str, ...], list[str]] = defaultdict(list)
-    for code in enumerate_graphs(n).classes:
+    for code in enumerate_graphs(n):
         index[make_deck(from_graph6(code)).cards].append(code)
     return dict(index)
 
@@ -237,7 +196,7 @@ def _sweep(lo: int, cases, hi: int | None = None):
             raise CapabilityError(f"enumeration limited to {ENUMERATION_LIMIT} vertices")
         tested, witnesses = 0, []
         for n in range(lo, top + 1):
-            for code in enumerate_graphs(n).classes:
+            for code in enumerate_graphs(n):
                 for label, ok in cases(from_graph6(code)):
                     tested += 1
                     if not ok:

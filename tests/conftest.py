@@ -1,11 +1,3 @@
-import os
-from pathlib import Path
-
-# keep catalog caches inside the repo so test runs are reproducible offline
-os.environ.setdefault(
-    "DECKRECON_CACHE", str(Path(__file__).resolve().parent.parent / ".cache")
-)
-
 import pytest
 
 from deckrecon import Graph, cycle_graph, path_graph

@@ -1,6 +1,6 @@
 """Acceptance gate: ten exhaustive checks at full scale, each printing one
-PASS/FAIL line. Time budgets are wall-clock upper bounds on warm catalog
-caches (the conftest pins the cache directory inside the repo)."""
+PASS/FAIL line. Time budgets are wall-clock upper bounds; the catalogs come
+from one in-process build."""
 
 import time
 from collections import Counter
@@ -88,7 +88,7 @@ def test_criterion_07_exhaustive_reconstruction_check():
     start = time.perf_counter()
     report = check_claim("rc-exhaustive", 7)
     sizes_ok = all(
-        len(enumerate_graphs(n).classes) == KNOWN_COUNTS[n] for n in range(0, 8)
+        len(enumerate_graphs(n)) == KNOWN_COUNTS[n] for n in range(0, 8)
     )
     pre = oracle_preimages(make_deck(complete_graph(2)))
     two_ok = len(pre) == 2 and make_deck(complete_graph(2)) == make_deck(

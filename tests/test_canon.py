@@ -17,9 +17,16 @@ from deckrecon import (
     orbit_index,
     path_graph,
 )
-from deckrecon.canon import MEMO_ORDER_LIMIT, MEMO_SIZE, _search, _small_code, canonical_code
+from deckrecon.canon import (
+    MEMO_ORDER_LIMIT,
+    MEMO_SIZE,
+    _refine,
+    _search,
+    _small_code,
+    canonical_code,
+)
 from deckrecon.oracle import catalog_graphs, enumerate_graphs
-from deckrecon.graphs import from_graph6
+from deckrecon.graphs import _triangle_bits, bits_to_graph6, from_graph6
 from deckrecon.modular import Kind, decompose
 from deckrecon.deck import make_deck
 from deckrecon.reconstruct import reconstruct
@@ -72,7 +79,7 @@ def test_canonical_form_is_relabel_invariant():
 
 def test_canonical_form_separates_nonisomorphic():
     # all isomorphism classes at n = 6 get pairwise distinct codes
-    codes = enumerate_graphs(6).classes
+    codes = enumerate_graphs(6)
     assert len(set(codes)) == 156
 
 
@@ -136,6 +143,49 @@ def test_is_isomorphic_basic():
     assert not is_isomorphic(path_graph(4), path_graph(3))
 
 
+def unpruned_code(g):
+    """The smallest leaf of canon's search tree, by a search that branches on
+    every vertex of the target cell (the first smallest non-singleton cell,
+    as canon picks it): no automorphism or prefix pruning."""
+    best = None
+
+    def walk(cells):
+        nonlocal best
+        cells = _refine(g.adj, cells)
+        if all(len(c) == 1 for c in cells):
+            bits = _triangle_bits(g.adj, [c[0] for c in cells])
+            best = bits if best is None else min(best, bits)
+            return
+        t = min((i for i, c in enumerate(cells) if len(c) > 1), key=lambda i: len(cells[i]))
+        for v in cells[t]:
+            walk(cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1 :])
+
+    walk([list(range(g.n))])
+    return bits_to_graph6(g.n, best)
+
+
+def circulant(n, steps):
+    return Graph.from_edges(n, [(v, (v + s) % n) for v in range(n) for s in steps])
+
+
+def test_pruned_search_finds_the_unpruned_minimum():
+    # the catalogs to 7 vertices, and every circulant on 7-10 vertices but the
+    # empty and complete ones (n! leaves unpruned), under seeded relabellings
+    graphs = [from_graph6(code) for n in range(2, 8) for code in enumerate_graphs(n)]
+    for n in range(7, 11):
+        steps = range(1, n // 2 + 1)
+        for k in range(1, len(steps)):
+            graphs += [circulant(n, chosen) for chosen in itertools.combinations(steps, k)]
+    rng = random.Random(31)
+    for g in graphs:
+        want = unpruned_code(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            assert canonical_code(h.n, h.adj) == want, g.to_graph6()
+
+
 def brute_orbits(g):
     parent = list(range(g.n))
 
@@ -158,7 +208,7 @@ def brute_orbits(g):
 
 def test_orbits_match_brute_force_on_all_small_classes():
     for n in range(1, 7):
-        for code in enumerate_graphs(n).classes:
+        for code in enumerate_graphs(n):
             g = from_graph6(code)
             assert automorphism_orbits(g) == brute_orbits(g), code
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from deckrecon import canonical_form, cycle_graph, inflate, make_deck, oracle, save_deck
+from deckrecon import canonical_form, cycle_graph, inflate, make_deck, save_deck
 from deckrecon.cli import main
 from deckrecon.graphs import complete_graph, empty_graph
 
@@ -106,26 +106,6 @@ def test_verify_reports_the_orders_it_examined(capsys):
     assert code == 0 and out.startswith("claim kelly up to n=7: ")
     code, out, _ = run(capsys, "verify", "recognition", "--max-n", "9", "--json")
     assert code == 0 and json.loads(out)["max_n"] == 6
-
-
-def test_verify_with_an_unusable_catalog_cache_exits_0(capsys, monkeypatch, tmp_path):
-    # the catalog cache is best-effort: below a regular file it can be
-    # neither read nor written, and the catalogs are built uncached
-    code, out, _ = run(capsys, "verify", "kelly", "--max-n", "5", "--json")
-    assert code == 0
-    cached = json.loads(out)
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    monkeypatch.setenv("DECKRECON_CACHE", str(blocker / "cache"))
-    oracle.enumerate_graphs.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "kelly", "--max-n", "5", "--json")
-    finally:
-        oracle.enumerate_graphs.cache_clear()
-    assert (code, err) == (0, "")
-    uncached = json.loads(out)
-    del cached["seconds"], uncached["seconds"]
-    assert uncached == cached
 
 
 def test_verify_a_range_that_tests_nothing_exits_2(capsys):

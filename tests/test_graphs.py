@@ -34,9 +34,7 @@ def test_from_edges_and_accessors():
     assert g == path_graph(4)
     assert g.degree(1) == 2
     assert g.edge_count() == 3
-    assert g.neighbors(2) == (1, 3)
-    assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+    assert g.adj == (0b0010, 0b0101, 0b1010, 0b0100)
 
 
 def test_from_edges_rejects_bad_edges():
@@ -71,7 +69,7 @@ def test_induced_subgraph_and_delete():
     g = cycle_graph(5)
     assert g.delete_vertex(0) == path_graph(4)
     sub = g.induced_subgraph([1, 2, 4])
-    assert sub.edges() == [(0, 1)]
+    assert sub.adj == (0b010, 0b001, 0b000)
     with pytest.raises(ValueError):
         g.induced_subgraph([7])
 

@@ -119,7 +119,7 @@ def test_indecomposable_counts_small():
     for n, want in counts.items():
         got = [
             code
-            for code in enumerate_graphs(n).classes
+            for code in enumerate_graphs(n)
             if is_indecomposable(from_graph6(code))
         ]
         assert len(got) == want
@@ -128,7 +128,7 @@ def test_indecomposable_counts_small():
 def test_five_vertex_indecomposables_are_the_known_four(c5, house, bull):
     got = {
         code
-        for code in enumerate_graphs(5).classes
+        for code in enumerate_graphs(5)
         if is_indecomposable(from_graph6(code))
     }
     want = {canonical_form(g) for g in (path_graph(5), c5, house, bull)}
@@ -191,7 +191,7 @@ def test_inflate_round_trips_decomposition():
     rng = random.Random(8)
     checked = 0
     for n in range(4, 9):
-        codes = list(enumerate_graphs(n).classes)
+        codes = list(enumerate_graphs(n))
         rng.shuffle(codes)
         for code in codes[:120]:
             g = from_graph6(code)
@@ -267,7 +267,7 @@ def _check_against_module_oracle(g):
 
 def test_module_closure_agrees_with_subset_scan_on_catalogs():
     for n in range(0, 9):
-        for code in enumerate_graphs(n).classes:
+        for code in enumerate_graphs(n):
             _check_against_module_oracle(from_graph6(code))
 
 
@@ -365,7 +365,7 @@ def test_critically_indecomposable_census():
     got = {
         n: sorted(
             code
-            for code in enumerate_graphs(n).classes
+            for code in enumerate_graphs(n)
             if is_critically_indecomposable(from_graph6(code))
         )
         for n in range(4, 9)

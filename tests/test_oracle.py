@@ -34,21 +34,20 @@ from deckrecon.oracle import (
 
 def test_catalog_counts():
     for n in range(0, 8):
-        assert len(enumerate_graphs(n).classes) == KNOWN_COUNTS[n]
+        assert len(enumerate_graphs(n)) == KNOWN_COUNTS[n]
 
 
 def test_catalog_entries_are_canonical_and_distinct():
     for n in range(8):
-        cat = enumerate_graphs(n)
-        assert list(cat.classes) == sorted(set(cat.classes))
-        for code in cat.classes:
+        codes = enumerate_graphs(n)
+        assert list(codes) == sorted(set(codes))
+        for code in codes:
             assert canonical_form(from_graph6(code)) == code
 
 
 def test_fresh_catalog_build_pins_the_canonical_codes():
-    # A clean checkout builds its catalogs with the canon under test, and an
-    # older cache on disk is trusted by its line count alone; pinning the
-    # n = 7 text catches a canon that picks different codes either way.
+    # Every process builds its catalogs with the canon under test; pinning
+    # the n = 7 text catches a canon that picks different codes.
     classes = (canonical_form(Graph(0, ())),)
     for n in range(1, 8):
         classes = oracle._build_catalog(n, classes)
@@ -73,7 +72,7 @@ def full_mask_catalog(n, prev):
 
 def test_catalog_build_matches_the_full_mask_build():
     for n in range(1, 8):
-        prev = enumerate_graphs(n - 1).classes
+        prev = enumerate_graphs(n - 1)
         assert oracle._build_catalog(n, prev) == full_mask_catalog(n, prev), n
 
 
@@ -90,42 +89,36 @@ def test_catalog_build_canonicalises_one_extension_per_orbit_and_half_the_edge_c
         return canonical_code(n, adj)
 
     monkeypatch.setattr(oracle, "canonical_code", counted)
-    assert len(oracle._build_catalog(7, enumerate_graphs(6).classes)) == KNOWN_COUNTS[7]
+    assert len(oracle._build_catalog(7, enumerate_graphs(6))) == KNOWN_COUNTS[7]
     assert len(calls) == 3070
 
 
 def test_catalog_closed_under_complement():
-    codes = set(enumerate_graphs(7).classes)
+    codes = set(enumerate_graphs(7))
     for code in codes:
         assert canonical_form(from_graph6(code).complement()) in codes
 
 
 def test_catalog_contains_named_graphs():
-    codes = set(enumerate_graphs(5).classes)
+    codes = set(enumerate_graphs(5))
     for g in (cycle_graph(5), path_graph(5), complete_graph(5), empty_graph(5)):
         assert canonical_form(g) in codes
 
 
-def test_catalog_cache_skips_what_it_cannot_read_or_write(monkeypatch, tmp_path):
-    # a directory where catalog-2.g6 belongs can be neither read nor
-    # replaced, a catalog-1.g6 that is not text is rebuilt, and a write goes
-    # through a temporary file that is gone after
-    (tmp_path / "catalog-2.g6").mkdir()
-    (tmp_path / "catalog-1.g6").write_bytes(b"\xff\n")
-    monkeypatch.setenv("DECKRECON_CACHE", str(tmp_path))
-    enumerate_graphs.cache_clear()
-    try:
-        assert enumerate_graphs(3).classes == full_mask_catalog(3, ("A?", "A_"))
-    finally:
-        enumerate_graphs.cache_clear()
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "catalog-0.g6",
-        "catalog-1.g6",
-        "catalog-2.g6",
-        "catalog-3.g6",
-    ]
-    assert (tmp_path / "catalog-2.g6").is_dir()
-    assert (tmp_path / "catalog-1.g6").read_text() == "@\n"
+def test_catalog_files_on_disk_are_ignored(monkeypatch, tmp_path):
+    # files with the right line count but the wrong codes, where catalogs
+    # were once cached, are not read; __wrapped__ builds outside the
+    # process's memo, so no other test has to rebuild its catalogs
+    poisoned = canonical_form(empty_graph(5)) + "\n"
+    for directory in (tmp_path / "cache", tmp_path / "home" / ".cache" / "deckrecon"):
+        directory.mkdir(parents=True)
+        (directory / "catalog-5.g6").write_text(poisoned * KNOWN_COUNTS[5])
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    want = full_mask_catalog(5, enumerate_graphs(4))
+    monkeypatch.setenv("DECKRECON_CACHE", str(tmp_path / "cache"))
+    assert enumerate_graphs.__wrapped__(5) == want
+    monkeypatch.delenv("DECKRECON_CACHE")
+    assert enumerate_graphs.__wrapped__(5) == want
 
 
 def test_enumeration_limit():

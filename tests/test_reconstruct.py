@@ -158,7 +158,7 @@ def test_family_F_contains_family_members():
     # an asymmetric graph whose big subgraphs embed uniquely
     found = [
         code
-        for code in enumerate_graphs(6).classes
+        for code in enumerate_graphs(6)
         if in_family_F(from_graph6(code))
     ]
     for code in found:
@@ -183,7 +183,7 @@ def test_family_G_implies_relaxed():
     from deckrecon.modular import is_indecomposable
 
     for n in (5, 6, 7):
-        for code in enumerate_graphs(n).classes:
+        for code in enumerate_graphs(n):
             g = from_graph6(code)
             if not is_indecomposable(g):
                 continue
@@ -296,7 +296,7 @@ def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
 
 def decomposable_decks_up_to_seven_vertices():
     for n in range(4, 8):
-        for code in enumerate_graphs(n).classes:
+        for code in enumerate_graphs(n):
             g = from_graph6(code)
             if decompose(g).kind is not Kind.INDECOMPOSABLE:
                 yield make_deck(g)
@@ -335,7 +335,7 @@ def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
 def test_reconstruct_outcome_histogram_up_to_seven_vertices():
     got = Counter()
     for n in range(4, 8):
-        for code in enumerate_graphs(n).classes:
+        for code in enumerate_graphs(n):
             g = from_graph6(code)
             if decompose(g).kind is Kind.INDECOMPOSABLE:
                 continue
@@ -365,7 +365,7 @@ def test_reconstruct_tests_criticality_once_per_pair_deck(monkeypatch):
     rc._cards.cache_clear()
     pair_decks = 0
     for n in range(4, 8):
-        for code in enumerate_graphs(n).classes:
+        for code in enumerate_graphs(n):
             g = from_graph6(code)
             dec = decompose(g)
             if dec.kind is Kind.INDECOMPOSABLE:
