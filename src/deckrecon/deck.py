@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .canon import canonical_form
+from .canon import MEMO_ORDER_LIMIT, _symmetry, canonical_form
 from .graphs import MAX_VERTICES, Graph, from_graph6
 from .modular import skeleton
 
@@ -54,10 +54,23 @@ def _trusted_deck(n: int, cards: tuple[str, ...]) -> Deck:
 
 
 def make_deck(g: Graph) -> Deck:
+    """The deck of g: its n one-vertex-deleted subgraphs, as sorted codes.
+
+    Cards of vertices in one automorphism orbit are equal. Past the code
+    memo's order limit (g on 10 or more vertices), one `_symmetry` search of
+    g gives the orbits, and the card of each orbit's smallest vertex is
+    canonicalised once and repeated over the orbit. Smaller cards are
+    memoised codes, so each vertex's card is looked up.
+    """
     if g.n < 1:
         raise ValueError("graphs with no vertices have no deck")
-    cards = sorted(canonical_form(g.delete_vertex(v)) for v in range(g.n))
-    return _trusted_deck(g.n, tuple(cards))
+    if g.n - 1 <= MEMO_ORDER_LIMIT:
+        cards = [canonical_form(g.delete_vertex(v)) for v in range(g.n)]
+    else:
+        cards = []
+        for orbit in _symmetry(g)[1]:
+            cards += [canonical_form(g.delete_vertex(orbit[0]))] * len(orbit)
+    return _trusted_deck(g.n, tuple(sorted(cards)))
 
 
 def edge_count_from_deck(d: Deck) -> int:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from deckrecon import canon
 from deckrecon import (
     Deck,
     DeckError,
@@ -9,6 +10,7 @@ from deckrecon import (
     canonical_form,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     edge_count_from_deck,
     empty_graph,
     inflate,
@@ -21,6 +23,7 @@ from deckrecon import (
     save_deck,
 )
 
+from test_canon import circulant, matching, relabelled
 from test_graphs import random_graph
 
 
@@ -60,6 +63,52 @@ def test_deck_equal_and_cards():
     d2 = make_deck(cycle_graph(4).relabel([2, 0, 3, 1]))
     assert d1 == d2
     assert d1 != make_deck(path_graph(4))
+
+
+def per_vertex_cards(g):
+    """The deck's cards by one search per vertex: the oracle for make_deck's
+    route of one search per orbit."""
+    return tuple(sorted(canonical_form(g.delete_vertex(v)) for v in range(g.n)))
+
+
+def test_orbit_route_deck_matches_the_per_vertex_deck():
+    rng = random.Random(17)
+    parts = [empty_graph(2), complete_graph(2), empty_graph(3), path_graph(3)]
+    graphs = [empty_graph(n) for n in (10, 13, 20)]
+    graphs += [matching(n) for n in (10, 16, 24)]
+    graphs += [disjoint_union([cycle_graph(5)] * k) for k in (2, 3, 4)]
+    graphs += [circulant(n, rng.sample(range(1, n // 2 + 1), 2)) for n in (10, 14, 19)]
+    graphs += [inflate(cycle_graph(5), [rng.choice(parts) for _ in range(5)]) for _ in range(4)]
+    graphs += [inflate(path_graph(4), [rng.choice(parts) for _ in range(4)]) for _ in range(4)]
+    graphs += [random_graph(n, rng) for n in range(9, 25)]
+    for g in graphs:
+        for _ in range(2):
+            h = relabelled(g, rng)
+            assert make_deck(h).cards == per_vertex_cards(h), g.to_graph6()
+
+
+def test_symmetric_decks_at_the_graph_cap_take_one_search_per_orbit(monkeypatch):
+    # The empty graph, a perfect matching and twelve disjoint C5s are one
+    # orbit each: make_deck searches the graph once and one card once.
+    search = canon._search
+    searches = []
+
+    def counted(n, adj, cells):
+        searches.append(n)
+        return search(n, adj, cells)
+
+    empty63 = empty_graph(63).to_graph6()  # every labelling of it is canonical
+    monkeypatch.setattr(canon, "_search", counted)
+    assert Deck(64, (empty63,) * 64).cards == (empty63,) * 64
+    assert searches == [63]
+    rng = random.Random(64)
+    for g in (empty_graph(64), matching(64), disjoint_union([cycle_graph(5)] * 12)):
+        searches.clear()
+        h = relabelled(g, rng)
+        d = make_deck(h)
+        assert len(searches) <= 2
+        assert d.n == g.n and len(set(d.cards)) == 1
+        assert edge_count_from_deck(d) == g.edge_count()
 
 
 def test_edge_count_identity_random():
