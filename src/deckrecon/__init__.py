@@ -42,7 +42,6 @@ from .modular import (
 )
 from .reconstruct import (
     ReconstructionResult,
-    in_family_F,
     in_family_G,
     interval_single_large,
     interval_single_pair,

@@ -20,19 +20,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
 from typing import Any, Callable, NamedTuple
 
 from .canon import (
-    CapabilityError,
     _induced_copies,
     _symmetry,
-    automorphism_orbits,
     canonical_form,
     is_isomorphic,
     orbit_index,
 )
-from .deck import Deck, DeckIntegrityError, _edge_count, _trusted_deck, make_deck
+from .deck import Deck, DeckIntegrityError, _edge_count, make_deck
 from .graphs import Graph, disjoint_union, empty_graph, from_graph6
 from .modular import (
     Kind,
@@ -280,25 +277,31 @@ def _splice_unique(dec: ModularDecomposition, part: Graph) -> Graph:
 
 
 def _strip_lone_vertex(j: Graph, size: int) -> Graph | None:
-    """Extract the size-vertex half of a one-vertex join or disjoint add-on."""
-    dec = decompose(j)
-    if dec.kind not in (Kind.PARALLEL, Kind.SERIES) or dec.parts is None:
-        return None
-    if sorted(p.n for p in dec.parts) != [1, size]:
-        return None
-    return max(dec.parts, key=lambda p: p.n)
+    """Peel one-vertex joins and disjoint add-ons off j until size vertices
+    remain; None when some layer is not one vertex beside the rest."""
+    while j.n > size:
+        dec = decompose(j)
+        if dec.kind not in (Kind.PARALLEL, Kind.SERIES) or dec.parts is None:
+            return None
+        if sorted(p.n for p in dec.parts) != [1, j.n - 1]:
+            return None
+        j = max(dec.parts, key=lambda p: p.n)
+    return j if j.n == size else None
 
 
 def _degenerate_card_interval(dec, k: Graph, size: int) -> Graph | None:
     """A degenerate card of the shape (one extra vertex over an inflation of an
-    indecomposable subgraph on |K|-2 vertices) exposes the interval."""
+    indecomposable subgraph on |K|-2 vertices) exposes the interval; so does
+    one whose big part is the interval under more lone-vertex layers."""
     if dec.parts is None or len(dec.parts) != 2:
         return None
     big = [p for p in dec.parts if p.n > 1]
     if len(big) != 1 or big[0].n < 4:
         return None
     inner = decompose(big[0])
-    if inner.kind is not Kind.PRIME or inner.skeleton.n != k.n - 2:
+    if inner.kind is not Kind.PRIME:
+        return _strip_lone_vertex(big[0], size)
+    if inner.skeleton.n != k.n - 2:
         return None
     lone = _lone_nonsingleton(inner)
     if lone is None or lone[1].n != size:
@@ -354,15 +357,6 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
     else:
         for cand in _single_large_candidates(cards, k, non, size):
             candidates.setdefault(canonical_form(cand), cand)
-        if not candidates:
-            # small-skeleton cases: inspect every possible interval directly
-            from .oracle import oracle_preimages
-
-            if size > 8:
-                raise CapabilityError("direct interval inspection limited to 8 vertices")
-            interval_deck = _trusted_deck(size, tuple(sorted(map(canonical_form, shrunk))))
-            for cand in oracle_preimages(interval_deck):
-                candidates.setdefault(canonical_form(cand), cand)
     host = cards.prime(min(dk))
     survivors: list[Graph] = []
     for _, cand in sorted(candidates.items()):
@@ -516,23 +510,6 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 
 # -- family predicates ---------------------------------------------------------
-
-
-def in_family_F(g: Graph) -> bool:
-    """Trivial automorphism group, and every induced subgraph on n-1 and n-2
-    vertices arises from exactly one vertex subset."""
-    if any(len(o) > 1 for o in automorphism_orbits(g)):
-        return False
-    for size in (g.n - 1, g.n - 2):
-        if size < 1:
-            continue
-        counts = Counter(
-            canonical_form(g.induced_subgraph(xs))
-            for xs in combinations(range(g.n), size)
-        )
-        if any(c != 1 for c in counts.values()):
-            return False
-    return True
 
 
 def _lifting_vertices(g: Graph, ask: Callable = lambda search, h: search(h)) -> list[int]:
@@ -785,7 +762,7 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
                 g, provenance = _reconstruct_single_pair(cards, k)
             else:
                 return _unsupported(NOT_DECOMPOSABLE)
-        except (UnsupportedCase, CapabilityError) as exc:
+        except UnsupportedCase as exc:
             return _unsupported(str(exc))
         except DeckIntegrityError:
             return _unsupported(NOT_DECOMPOSABLE)

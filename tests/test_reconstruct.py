@@ -17,7 +17,6 @@ from deckrecon import (
     decompose,
     disjoint_union,
     empty_graph,
-    in_family_F,
     in_family_G,
     inflate,
     interval_single_large,
@@ -105,11 +104,46 @@ def test_intervals_multi_rejects_single_interval(c5):
         intervals_multi(make_deck(g), c5)
 
 
-def test_interval_single_large(c5):
-    part = path_graph(3)
-    g = inflate(c5, [part, K1, K1, K1, K1])
-    got = interval_single_large(make_deck(g), c5)
-    assert is_isomorphic(got, part)
+def lone_interval_inflation(k, pos, part, rng):
+    g = inflate(k, [part if i == pos else K1 for i in range(k.n)])
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def prime_interval(n, rng):
+    """A seeded random graph on n vertices, connected and co-connected."""
+    while True:
+        g = random_graph(n, rng)
+        if g.is_connected() and g.complement().is_connected():
+            return g
+
+
+def large_interval_cases(c5, bull):
+    """(graph, skeleton, interval) with one non-singleton interval of size >= 3.
+
+    Past the first, the skeleton is P4 or the bull with its interval at the
+    nose, so every skeleton-changing card is degenerate, with the interval
+    under one or two lone-vertex layers; and the interval has 9-12 vertices.
+    """
+    p4 = path_graph(4)
+    cases = [(inflate(c5, [path_graph(3), K1, K1, K1, K1]), c5, path_graph(3))]
+    rng = random.Random(17)
+    for pos, n in enumerate(range(9, 13)):
+        part = prime_interval(n, rng)
+        cases.append((lone_interval_inflation(p4, pos, part, rng), p4, part))
+        part = prime_interval(n, rng)
+        cases.append((lone_interval_inflation(bull, 4, part, rng), bull, part))
+    g = from_graph6("LgPAD~JPqQXxXx")  # P4 with a 10-vertex interval at an inner vertex
+    cases.append((g, p4, max((p for _, p in decompose(g).intervals), key=lambda p: p.n)))
+    return cases
+
+
+def test_interval_single_large(c5, bull):
+    for g, k, part in large_interval_cases(c5, bull):
+        got = interval_single_large(make_deck(g), k)
+        assert is_isomorphic(got, part)
+        assert_reconstructs(g, "single large interval splice")
 
 
 def test_interval_single_large_degenerate_interval(c5):
@@ -148,25 +182,8 @@ def test_interval_single_pair_critical_skeleton():
 # -- families ------------------------------------------------------------------
 
 
-def test_family_predicates_on_small_graphs(c5, p4):
-    assert not in_family_F(c5)  # nontrivial automorphisms
+def test_family_predicates_on_small_graphs(c5):
     assert in_family_G(c5)  # one orbit, and it lifts from every card
-    assert not in_family_F(p4)
-
-
-def test_family_F_contains_family_members():
-    # an asymmetric graph whose big subgraphs embed uniquely
-    found = [
-        code
-        for code in enumerate_graphs(6)
-        if in_family_F(from_graph6(code))
-    ]
-    for code in found:
-        g = from_graph6(code)
-        assert automorphism_orbits(g) == [(v,) for v in range(6)]
-    # family membership is closed under complement for these predicates
-    for code in found[:10]:
-        assert in_family_F(from_graph6(code).complement())
 
 
 def test_relaxed_condition_examples(c5, p4, bull):
@@ -242,6 +259,27 @@ def branch_examples(c5, bull):
 def test_reconstruct_examples(c5, bull):
     for g, provenance in branch_examples(c5, bull):
         assert_reconstructs(g, provenance)
+
+
+# Catalog graphs with one large interval on a P4 or bull skeleton, whose
+# skeleton-changing cards show it only under lone-vertex layers (G?Cj|{ under
+# two), and P4 with an 8-vertex interval.
+LAYERED_INTERVAL_GRAPHS = (
+    "F@T~o FCHJw G?Cj|{ G?Dj~w G?LR~w G?LZ~w G?Lr~w G?_RJ{ G@LZ~w G@Oz~w "
+    "G@Tb~w G@Tj~w GC?iR{ GC?iZ{ GO?Yr{ GOCYZ{ GOD?z{ G_Chb{ G_Chj{ J}tE?@@SAk_"
+).split()
+
+
+def test_reconstruct_never_touches_the_oracle_by_default(monkeypatch):
+    oracle = importlib.import_module("deckrecon.oracle")
+
+    def refuse(*_):
+        raise AssertionError("reconstruct reached the oracle")
+
+    monkeypatch.setattr(oracle, "oracle_preimages", refuse)
+    monkeypatch.setattr(oracle, "enumerate_graphs", refuse)
+    for code in LAYERED_INTERVAL_GRAPHS:
+        assert_reconstructs(from_graph6(code), "single large interval splice")
 
 
 def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
