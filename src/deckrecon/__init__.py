@@ -17,7 +17,6 @@ from .deck import (
     load_deck,
     make_deck,
     parse_deck_text,
-    save_deck,
 )
 from .graphs import (
     Graph,

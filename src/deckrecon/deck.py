@@ -110,7 +110,3 @@ def parse_deck_text(text: str) -> Deck:
 
 def load_deck(path: str | Path) -> Deck:
     return parse_deck_text(Path(path).read_text())
-
-
-def save_deck(d: Deck, path: str | Path) -> None:
-    Path(path).write_text("".join(code + "\n" for code in d.cards))

@@ -276,86 +276,42 @@ def _splice_unique(dec: ModularDecomposition, part: Graph) -> Graph:
     return inflate(dec.skeleton, parts)
 
 
-def _strip_lone_vertex(j: Graph, size: int) -> Graph | None:
-    """Peel one-vertex joins and disjoint add-ons off j until size vertices
-    remain; None when some layer is not one vertex beside the rest."""
-    while j.n > size:
-        dec = decompose(j)
-        if dec.kind not in (Kind.PARALLEL, Kind.SERIES) or dec.parts is None:
-            return None
-        if sorted(p.n for p in dec.parts) != [1, j.n - 1]:
-            return None
-        j = max(dec.parts, key=lambda p: p.n)
-    return j if j.n == size else None
-
-
-def _degenerate_card_interval(dec, k: Graph, size: int) -> Graph | None:
-    """A degenerate card of the shape (one extra vertex over an inflation of an
-    indecomposable subgraph on |K|-2 vertices) exposes the interval; so does
-    one whose big part is the interval under more lone-vertex layers."""
-    if dec.parts is None or len(dec.parts) != 2:
-        return None
-    big = [p for p in dec.parts if p.n > 1]
-    if len(big) != 1 or big[0].n < 4:
-        return None
-    inner = decompose(big[0])
-    if inner.kind is not Kind.PRIME:
-        return _strip_lone_vertex(big[0], size)
-    if inner.skeleton.n != k.n - 2:
-        return None
-    lone = _lone_nonsingleton(inner)
-    if lone is None or lone[1].n != size:
-        return None
-    return lone[1]
-
-
-def _single_large_candidates(
-    cards: _CardTable, k: Graph, non: list[str], size: int
-) -> list[Graph]:
+def _modules_of_order(dec: ModularDecomposition, size: int) -> list[Graph]:
+    """The strong modules on size vertices below the root of a decomposition
+    tree, in depth-first order; only nodes on more than size vertices are
+    decomposed further."""
+    children = dec.parts or [p for _, p in dec.intervals or ()]
     out: list[Graph] = []
-    for code in sorted(set(non)):
-        dec = cards.card(code).dec
-        if dec.kind is Kind.PRIME:
-            nons = [p for _, p in dec.intervals if p.n >= 2]
-            if dec.skeleton.n == k.n - 1:
-                if len(nons) == 1 and nons[0].n == size:
-                    out.append(nons[0])
-            elif dec.skeleton.n == k.n - 2:
-                if len(nons) == 2 and sorted(p.n for p in nons) == [2, size]:
-                    out.append(max(nons, key=lambda p: p.n))
-                elif len(nons) == 1 and nons[0].n == size + 1:
-                    got = _strip_lone_vertex(nons[0], size)
-                    if got is not None:
-                        out.append(got)
-        elif dec.kind in (Kind.PARALLEL, Kind.SERIES):
-            got = _degenerate_card_interval(dec, k, size)
-            if got is not None:
-                out.append(got)
+    for child in children:
+        if child.n == size:
+            out.append(child)
+        elif child.n > size:
+            out += _modules_of_order(decompose(child), size)
     return out
 
 
 def interval_single_large(d: Deck, k: Graph) -> Graph:
-    """Recover the unique non-singleton maximal interval when it has >= 3 vertices."""
+    """Recover the unique non-singleton maximal interval when it has >= 3 vertices.
+
+    The interval is a module of every skeleton-changing card, and a strong
+    one in some of them, so its candidates are the cards' strong modules on
+    its order; the one whose splice gives back the deck survives.
+    """
     cards = _cards(d)
     dk, non = cards.split(k)
     s = len(non)
     size = d.n - s
     if k.n - s != 1 or size < 3:
         raise ValueError("expects exactly one non-singleton maximal interval of size >= 3")
-    # the skeleton-preserving cards carry the interval's own deck
-    shrunk: list[Graph] = []
+    # each skeleton-preserving card deletes one vertex of the interval
     for code in dk:
         lone = _lone_nonsingleton(cards.prime(code))
         if lone is None or lone[1].n != size - 1:
             raise DeckIntegrityError("skeleton-preserving cards must shrink the interval by one")
-        shrunk.append(lone[1])
 
     candidates: dict[str, Graph] = {}
-    g = _degenerate_rebuild(cards, size, shrunk)
-    if g is not None:
-        candidates[canonical_form(g)] = g
-    else:
-        for cand in _single_large_candidates(cards, k, non, size):
+    for code in sorted(set(non)):
+        for cand in _modules_of_order(cards.card(code).dec, size):
             candidates.setdefault(canonical_form(cand), cand)
     host = cards.prime(min(dk))
     survivors: list[Graph] = []
@@ -565,16 +521,17 @@ def _rebuild_from_components(cards: _CardTable, n: int, graphs: list[Graph]) -> 
     return disjoint_union(parts)
 
 
-def _degenerate_rebuild(cards: _CardTable, n: int, graphs: list[Graph]) -> Graph | None:
-    """The degenerate graph whose deck is the n graphs, or None when more than
-    one is connected and more than one is co-connected, which no deck of a
+def _degenerate_rebuild(cards: _CardTable) -> Graph | None:
+    """The degenerate graph with the table's deck, or None when more than one
+    card is connected and more than one is co-connected, which no deck of a
     degenerate graph allows.
 
-    Pools components across the graphs and repeatedly removes the largest
+    Pools components across the cards and repeatedly removes the largest
     one together with the components attributable to it; the series case
     goes through complementation. Component codes are decoded through the
     card table.
     """
+    n, graphs = cards.deck.n, cards.graphs()
     if sum(1 for g in graphs if g.is_connected()) <= 1:
         return _rebuild_from_components(cards, n, graphs)
     flipped = [g.complement() for g in graphs]
@@ -588,7 +545,7 @@ def reconstruct_degenerate(d: Deck) -> Graph:
     if d.n < 3:
         raise ValueError("degenerate reconstruction needs at least three cards")
     cards = _cards(d)
-    g = _degenerate_rebuild(cards, d.n, cards.graphs())
+    g = _degenerate_rebuild(cards)
     if g is None:
         raise DeckIntegrityError("deck does not come from a degenerate graph")
     return g
@@ -745,7 +702,7 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
         return _unsupported("decks with fewer than three cards are ambiguous in general")
     cards = _cards(d)
     try:
-        g = _degenerate_rebuild(cards, d.n, cards.graphs())
+        g = _degenerate_rebuild(cards)
     except DeckIntegrityError as exc:
         return _unsupported(str(exc))
     provenance = "degenerate components"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from deckrecon import canonical_form, cycle_graph, inflate, make_deck, save_deck
+from deckrecon import canonical_form, cycle_graph, inflate, make_deck
 from deckrecon.cli import main
 from deckrecon.graphs import complete_graph, empty_graph
 
@@ -11,6 +11,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def deck_file(capsys, tmp_path, g):
+    """The deck of g, written to a file as `deckrecon deck` prints it."""
+    code, out, _ = run(capsys, "deck", g.to_graph6())
+    assert code == 0
+    path = tmp_path / "deck.g6"
+    path.write_text(out)
+    return path
 
 
 def test_decompose_text(capsys):
@@ -54,8 +63,7 @@ def test_graph_from_file(capsys, tmp_path, c5):
 
 def test_reconstruct_roundtrip(capsys, tmp_path, c5):
     g = inflate(c5, [complete_graph(2)] + [empty_graph(1)] * 4)
-    path = tmp_path / "deck.g6"
-    save_deck(make_deck(g), path)
+    path = deck_file(capsys, tmp_path, g)
     code, out, _ = run(capsys, "reconstruct", str(path), "--json")
     assert code == 0
     payload = json.loads(out)
@@ -65,8 +73,7 @@ def test_reconstruct_roundtrip(capsys, tmp_path, c5):
 
 
 def test_reconstruct_unsupported_exit_code(capsys, tmp_path, c5):
-    path = tmp_path / "deck.g6"
-    save_deck(make_deck(c5), path)
+    path = deck_file(capsys, tmp_path, c5)
     code, out, _ = run(capsys, "reconstruct", str(path))
     assert code == 1
     assert out.startswith("unsupported:")
@@ -74,8 +81,7 @@ def test_reconstruct_unsupported_exit_code(capsys, tmp_path, c5):
 
 def test_reconstruct_a_13_vertex_skeleton_exits_0(capsys, tmp_path):
     g = inflate(cycle_graph(13), [complete_graph(2)] + [empty_graph(1)] * 12)
-    path = tmp_path / "deck.g6"
-    save_deck(make_deck(g), path)
+    path = deck_file(capsys, tmp_path, g)
     code, out, _ = run(capsys, "reconstruct", str(path))
     assert code == 0
     assert out.splitlines() == [
@@ -84,8 +90,7 @@ def test_reconstruct_a_13_vertex_skeleton_exits_0(capsys, tmp_path):
 
 
 def test_reconstruct_oracle_fallback(capsys, tmp_path, c5):
-    path = tmp_path / "deck.g6"
-    save_deck(make_deck(c5), path)
+    path = deck_file(capsys, tmp_path, c5)
     code, out, _ = run(capsys, "reconstruct", str(path), "--oracle-fallback", "--json")
     assert code == 0
     payload = json.loads(out)

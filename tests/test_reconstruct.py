@@ -23,6 +23,7 @@ from deckrecon import (
     interval_single_pair,
     intervals_multi,
     is_critically_indecomposable,
+    is_indecomposable,
     is_isomorphic,
     make_deck,
     orbit_index,
@@ -153,6 +154,56 @@ def test_interval_single_large_degenerate_interval(c5):
     assert is_isomorphic(got, part)
 
 
+def indecomposable(n, rng):
+    """A seeded random indecomposable graph on n >= 4 vertices."""
+    while True:
+        g = random_graph(n, rng)
+        if is_indecomposable(g):
+            return g
+
+
+# each interval shape, and the fewest vertices it can have
+INTERVAL_SHAPES = {"parallel": 3, "series": 3, "prime": 5, "indecomposable": 4}
+
+
+def interval_of_shape(shape, n, rng):
+    """A seeded interval on n vertices: disconnected, co-disconnected,
+    connected and co-connected with a prime quotient, or indecomposable."""
+    if shape == "parallel":
+        return disjoint_union([prime_interval(n - 1, rng) if n > 4 else path_graph(n - 1), K1])
+    if shape == "series":
+        return interval_of_shape("parallel", n, rng).complement()
+    if shape == "prime":
+        return inflate(path_graph(4), [random_graph(n - 3, rng), K1, K1, K1])
+    return indecomposable(n, rng)
+
+
+def deep_card_cases():
+    """(graph, skeleton, interval) with one interval on 3-12 vertices in a
+    half-graph, its complement or a seeded prime skeleton on 6-10 vertices, at
+    one vertex of each orbit: the interval can sit two or more levels down the
+    decomposition trees of the skeleton-changing cards."""
+    rng = random.Random(18)
+    skeletons = [critically_indecomposable(n, flip) for n in (6, 8) for flip in (False, True)]
+    skeletons += [indecomposable(n, rng) for n in (6, 8, 10)]
+    spots = [(k, orbit[0]) for k in skeletons for orbit in automorphism_orbits(k)]
+    for i, (k, v) in enumerate(spots):
+        shape = list(INTERVAL_SHAPES)[i % 4]
+        part = interval_of_shape(shape, max(INTERVAL_SHAPES[shape], 3 + i % 10), rng)
+        yield lone_interval_inflation(k, v, part, rng), k, part
+    for code in ("LhCG???~wF?K?G", "K?CG?F~^p}Bw"):  # H8 with P6, and with P3 + K2
+        g = from_graph6(code)
+        dec = decompose(g)
+        yield g, dec.skeleton, max((p for _, p in dec.intervals), key=lambda p: p.n)
+
+
+def test_interval_single_large_in_deep_cards():
+    for g, k, part in deep_card_cases():
+        got = interval_single_large(make_deck(g), k)
+        assert is_isomorphic(got, part), g.to_graph6()
+        assert_reconstructs(g, "single large interval splice")
+
+
 def test_interval_single_pair_vertex_transitive(c5):
     g = c5_with_edge_interval(c5)
     part, positions = interval_single_pair(make_deck(g), c5)
@@ -197,8 +248,6 @@ def test_relaxed_condition_examples(c5, p4, bull):
 
 
 def test_family_G_implies_relaxed():
-    from deckrecon.modular import is_indecomposable
-
     for n in (5, 6, 7):
         for code in enumerate_graphs(n):
             g = from_graph6(code)
