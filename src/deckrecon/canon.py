@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator
 
 from .graphs import Graph, _triangle_bits, bits_to_graph6
 
@@ -238,21 +237,14 @@ def orbit_index(orbits: list[tuple[int, ...]]) -> dict[int, int]:
     return {v: i for i, orb in enumerate(orbits) for v in orb}
 
 
-def _induced_copies(
-    g: Graph, h: Graph, code: Callable[[Graph], str]
-) -> Iterator[tuple[tuple[int, ...], Graph]]:
-    """(xs, subgraph) for each vertex subset xs of g inducing a copy of h,
-    comparing the canonical codes that code gives."""
-    target = code(h)
-    he = h.edge_count()
-    for xs in combinations(range(g.n), h.n):
-        sub = g.induced_subgraph(xs)
-        if sub.edge_count() == he and code(sub) == target:
-            yield xs, sub
-
-
 def has_induced_subgraph(g: Graph, h: Graph) -> bool:
     """True iff some vertex subset of g induces a graph isomorphic to h."""
     if h.n > g.n:
         raise ValueError("pattern larger than host")
-    return next(_induced_copies(g, h, canonical_form), None) is not None
+    target = canonical_form(h)
+    he = h.edge_count()
+    for xs in combinations(range(g.n), h.n):
+        sub = g.induced_subgraph(xs)
+        if sub.edge_count() == he and canonical_form(sub) == target:
+            return True
+    return False

@@ -3,16 +3,18 @@
 The pipeline recovers the skeleton and the singleton count from the deck,
 then splits on the shape of the non-singleton maximal intervals: at least two
 of them, one of size >= 3, or one of size exactly 2. Each branch recovers the
-intervals and splices a card back up to the original graph. Outcomes the
-theory leaves open (hereditary orbit sets; a size-2 interval whose target
-orbit cannot be pinned down) surface as first-class Unsupported results.
-Every answer about one deck lives in one memo, its card table: card
-decodes, decompositions and skeleton codes, the skeleton split, the order-1
-evidence, canon's searches, the criticality test and the deck of each
-candidate graph. Each is computed on first use and dropped with the table, so
-no question repeats within a deck and no deck is built twice. The public
-steps take the deck and look its table up once; every private step takes
-the table itself, with the deck at cards.deck.
+intervals and splices them back up to the original graph; both
+single-interval branches list their candidate splices and keep the one whose
+deck is the input deck. Outcomes the theory leaves open (hereditary orbit
+sets; a size-2 interval whose target orbit the theory cannot pin down)
+surface as first-class Unsupported results. Every answer about one deck
+lives in one memo, its card table: card decodes, decompositions and skeleton
+codes, the skeleton split, the size-2 splices, canon's searches, the
+criticality test and the deck of each candidate graph. Each is computed on
+first use and dropped with the table, so no question repeats within a deck
+and no deck is built twice. The public steps take the deck and look its
+table up once; every private step takes the table itself, with the deck at
+cards.deck.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from functools import lru_cache, partial
 from typing import Any, Callable, NamedTuple
 
 from .canon import (
-    _induced_copies,
     _symmetry,
     canonical_form,
     is_isomorphic,
@@ -86,7 +87,7 @@ class _CardTable:
     ask(fn, *args) computes fn(*args) on first use and keeps it for the
     deck: decodes, canon's searches, criticality and the decks of candidate
     graphs alike. know(fact, *args) does the same for a fact about the deck,
-    fact(table, *args): a card's decomposition, the split, the evidence.
+    fact(table, *args): a card's decomposition, the split, the size-2 splices.
     Both key on (fn, *args), so no key holds the deck or the table: no
     question hashes the deck and no table is a reference cycle.
     """
@@ -326,143 +327,40 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
 # -- interval recovery: a single non-singleton interval of size 2 -------------
 
 
-def _consistent_positions(cards: _CardTable, k: Graph, s: Graph, pos: int) -> set[int]:
-    """Images of pos under every embedding of s into k as an induced subgraph."""
-    rank = cards.ask(_symmetry, s)[0].index(pos)
-    out: set[int] = set()
-    for xs, sub in _induced_copies(k, s, partial(cards.ask, canonical_form)):
-        order, orbs = cards.ask(_symmetry, sub)
-        out.update(xs[j] for j in orbs[orbit_index(orbs)[order[rank]]])
-    return out
-
-
-def _edge_consistent(k: Graph, icode: str, positions: set[int], total_edges: int) -> set[int]:
-    extra = 1 if icode == K2_CODE else 0
-    return {p for p in positions if total_edges == k.edge_count() + k.degree(p) + extra}
-
-
-def _order1_evidence(cards: _CardTable, k: Graph) -> list[tuple[str, str, set[int]]]:
-    """For each skeleton-changing card with a prime quotient on |K| - 1
-    vertices: its skeleton code, the code of its size-2 interval, and the
-    skeleton vertices consistent with that interval. Known through the table."""
-    out = []
-    for code in sorted(set(cards.split(k)[1])):
-        dec, skeleton, kcode = cards.card(code)
-        if dec.kind is not Kind.PRIME or skeleton.n != k.n - 1:
-            continue
-        lone = _lone_nonsingleton(dec)
-        if lone is None or lone[1].n != 2:
-            raise DeckIntegrityError("card evidence inconsistent with one size-2 interval")
-        spots = _consistent_positions(cards, k, dec.skeleton, lone[0])
-        out.append((kcode, canonical_form(lone[1]), spots))
-    return out
-
-
-def _pair_generic(cards: _CardTable, k: Graph, total_edges: int) -> tuple[str, set[int]]:
-    evidence = cards.know(_order1_evidence, k)
-    if evidence:
-        icodes = {icode for _, icode, _ in evidence}
-        if len(icodes) != 1:
-            raise DeckIntegrityError("cards disagree about the size-2 interval")
-        icode = icodes.pop()
-        positions = set().union(*(spots for _, _, spots in evidence))
-        positions = _edge_consistent(k, icode, positions, total_edges)
-        if not positions:
-            raise DeckIntegrityError("no inflation point matches the recovered edge count")
-        return icode, positions
-    # No card keeps an order-(|K|-1) indecomposable quotient, so the one
-    # vertex whose removal leaves K indecomposable must itself be inflated.
-    kprimes = [v for v in range(k.n) if is_indecomposable(k.delete_vertex(v))]
-    if len(kprimes) != 1:
-        raise DeckIntegrityError("evidence admits no unique inflation point")
-    kstar = kprimes[0]
-    base = k.edge_count() + k.degree(kstar)
-    if total_edges == base + 1:
-        return K2_CODE, {kstar}
-    if total_edges == base:
-        return K2BAR_CODE, {kstar}
-    raise DeckIntegrityError("edge count matches neither size-2 interval")
-
-
-def _lone_pair_interval(p: Graph):
-    """(interval code, prime quotient, position) shown by the non-isolated part
-    of an isolated-vertex card, or (code, None, None) when the part collapses
-    to a degenerate graph whose maximal proper modules all agree."""
-    dec = decompose(p)
-    if dec.kind is Kind.PRIME:
-        lone = _lone_nonsingleton(dec)
-        if lone is not None and lone[1].n == 2:
-            return canonical_form(lone[1]), dec.skeleton, lone[0]
-        return None
-    if dec.parts is None:
-        return None
-    # Its maximal proper modules are its two parts or, with more, complements
-    # of single parts: two-vertex (and all like p - 0) only when p.n == 3.
-    if len(dec.parts) == 2:
-        mods = [q for q in dec.parts if q.n >= 2]
-    else:
-        mods = [p.delete_vertex(0)]
-    if mods and all(q.n == 2 for q in mods):
-        return canonical_form(mods[0]), None, None
-    return None
-
-
-def _pair_critical(
-    cards: _CardTable, k: Graph, non: list[str], total_edges: int
-) -> tuple[str, set[int]]:
-    evidence: dict[str, set[int] | None] = {}
-    for code in sorted(set(non)):
-        h = cards.ask(from_graph6, code)
-        for flip in (False, True):
-            g2 = h.complement() if flip else h
-            base = k.complement() if flip else k
-            for w in range(g2.n):
-                if g2.adj[w]:
-                    continue
-                part = g2.delete_vertex(w)
-                if part.n < 3:
-                    continue
-                got = _lone_pair_interval(part)
-                if got is None:
-                    continue
-                icode, quotient, pos = got
-                if flip:
-                    icode = canonical_form(cards.ask(from_graph6, icode).complement())
-                spots = (
-                    _consistent_positions(cards, base, quotient, pos)
-                    if quotient is not None
-                    else None
-                )
-                if icode not in evidence or evidence[icode] is None:
-                    evidence[icode] = spots
-                elif spots is not None:
-                    evidence[icode] |= spots
-    viable: list[tuple[str, set[int]]] = []
-    for icode, spots in sorted(evidence.items()):
-        positions = spots if spots else set(range(k.n))
-        positions = _edge_consistent(k, icode, positions, total_edges)
-        if positions:
-            viable.append((icode, positions))
-    if len(viable) != 1:
-        raise DeckIntegrityError("isolated-vertex cards do not isolate the interval")
-    return viable[0]
-
-
 def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Recover the unique size-2 maximal interval plus the skeleton vertices
-    consistent with the deck's evidence."""
+    where splicing it into k gives back the deck.
+
+    The candidates are K2 and its complement at one vertex of each orbit of
+    k. A candidate whose degree sequence is not the deck's (Kelly) is
+    skipped; of the rest, those whose deck is d survive. Exactly one
+    interval must survive, and its positions are the union of its orbits.
+    """
     if d.n != k.n + 1:
         raise ValueError("expects a skeleton one vertex smaller than the graph")
     cards = _cards(d)
-    dk, non = cards.split(k)
-    if len(dk) != 2:
+    if len(cards.split(k)[0]) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
-    total_edges = cards.ask(_edge_count, d.n, tuple(cards.graphs()))
-    if cards.ask(is_critically_indecomposable, k):
-        icode, positions = _pair_critical(cards, k, non, total_edges)
-    else:
-        icode, positions = _pair_generic(cards, k, total_edges)
-    return cards.ask(from_graph6, icode), tuple(sorted(positions))
+    icode, positions = cards.know(_pair_splices, k)
+    return cards.ask(from_graph6, icode), positions
+
+
+def _pair_splices(cards: _CardTable, k: Graph) -> tuple[str, tuple[int, ...]]:
+    graphs = cards.graphs()
+    total_edges = cards.ask(_edge_count, cards.deck.n, tuple(graphs))
+    degrees = sorted(total_edges - g.edge_count() for g in graphs)
+    found: dict[str, list[int]] = {}
+    for orb in cards.ask(_symmetry, k)[1]:
+        for icode in (K2_CODE, K2BAR_CODE):
+            splice = _inflate_at(k, orb[0], cards.ask(from_graph6, icode))
+            if sorted(map(splice.degree, range(splice.n))) != degrees:
+                continue
+            if cards.ask(make_deck, splice) == cards.deck:
+                found.setdefault(icode, []).extend(orb)
+    if len(found) != 1:
+        raise DeckIntegrityError("no unique size-2 interval splices back to the deck")
+    [(icode, positions)] = found.items()
+    return icode, tuple(sorted(positions))
 
 
 # -- family predicates ---------------------------------------------------------
@@ -653,44 +551,31 @@ def _reconstruct_single_large(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     return _splice_unique(cards.prime(min(dk)), part), "single large interval splice"
 
 
-def _relaxed_positions(cards: _CardTable, k: Graph, witnesses: list[int], icode: str) -> set[int]:
-    """Evidence-consistent positions restricted to witness deletion classes."""
-    codes = [cards.ask(canonical_form, k.delete_vertex(v)) for v in range(k.n)]
-    wcodes = {codes[w] for w in witnesses}
-    evidence = cards.know(_order1_evidence, k)
-    positions = set().union(*(spots for code, _, spots in evidence if code in wcodes))
-    # No card shows the unseen witness classes, so no singleton deletion
-    # produces them; the inflated vertex itself must sit in one.
-    unseen = wcodes - {code for code, _, _ in evidence}
-    positions.update(v for v in range(k.n) if codes[v] in unseen)
-    total_edges = cards.ask(_edge_count, cards.deck.n, tuple(cards.graphs()))
-    return _edge_consistent(k, icode, positions, total_edges)
-
-
 def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
+    # the splice check comes before the theory's choice, so a deck that no
+    # splice gives back is not taken for an open case
     part, positions = interval_single_pair(cards.deck, k)
     oix = orbit_index(cards.ask(_symmetry, k)[1])
+    if len({oix[p] for p in positions}) != 1:
+        raise DeckIntegrityError("inflation points span several orbits")
     if cards.ask(is_critically_indecomposable, k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
-    if not cards.know(_order1_evidence, k):
-        if len(positions) != 1:
-            raise DeckIntegrityError("unique inflation point expected")
-        return _inflate_at(k, positions[0], part), "size-two interval at unique position"
-    # the per-vertex test decides family G (every vertex passes) and the
-    # relaxed condition (some passing vertex deletion stays indecomposable)
-    lifting = _lifting_vertices(k, cards.ask)
-    if len(lifting) == k.n:
-        chosen = set(positions)
-        provenance = "size-two interval, orbit identified"
+    # with no card keeping a prime quotient on |K| - 1 vertices, the one
+    # vertex whose deletion leaves K indecomposable is the inflated one
+    order1 = (cards.card(code) for code in set(cards.split(k)[1]))
+    if not any(c.dec.kind is Kind.PRIME and c.skeleton.n == k.n - 1 for c in order1):
+        provenance = "size-two interval at unique position"
     else:
-        witnesses = _relaxed_witnesses(k, lifting)
-        if not witnesses:
+        # the per-vertex test decides family G (every vertex passes) and the
+        # relaxed condition (some passing vertex deletion stays indecomposable)
+        lifting = _lifting_vertices(k, cards.ask)
+        if len(lifting) == k.n:
+            provenance = "size-two interval, orbit identified"
+        elif _relaxed_witnesses(k, lifting):
+            provenance = "size-two interval, orbit identified (relaxed)"
+        else:
             raise UnsupportedCase("size-two interval with unidentifiable orbit")
-        chosen = _relaxed_positions(cards, k, witnesses, canonical_form(part))
-        provenance = "size-two interval, orbit identified (relaxed)"
-    if not chosen or len({oix[p] for p in chosen}) != 1:
-        raise DeckIntegrityError("inflation points span several orbits")
-    return _inflate_at(k, min(chosen), part), provenance
+    return _inflate_at(k, positions[0], part), provenance
 
 
 def _unsupported(reason: str) -> ReconstructionResult:

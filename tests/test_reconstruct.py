@@ -212,11 +212,15 @@ def test_interval_single_pair_vertex_transitive(c5):
     assert positions == (0, 1, 2, 3, 4)
 
 
+def orbit_of(k, v):
+    return next(orbit for orbit in automorphism_orbits(k) if v in orbit)
+
+
 def test_interval_single_pair_empty_pair(bull):
     g = inflate(bull, [K1, K1, empty_graph(2), K1, K1])
     part, positions = interval_single_pair(make_deck(g), bull)
     assert is_isomorphic(part, empty_graph(2))
-    assert 2 in positions
+    assert positions == orbit_of(bull, 2) == (1, 2)
 
 
 def test_interval_single_pair_critical_skeleton():
@@ -227,7 +231,48 @@ def test_interval_single_pair_critical_skeleton():
             g = inflate(half6, parts)
             got, positions = interval_single_pair(make_deck(g), half6)
             assert is_isomorphic(got, part)
-            assert pos in positions
+            assert positions == orbit_of(half6, pos)
+
+
+def pair_graphs_up_to_seven_vertices():
+    """(graph, decomposition) for each catalog graph on 4-7 vertices whose
+    one non-singleton maximal interval has two vertices."""
+    for n in range(4, 8):
+        for code in enumerate_graphs(n):
+            g = from_graph6(code)
+            dec = decompose(g)
+            if dec.kind is Kind.PRIME and sorted(p.n for _, p in dec.intervals)[-2:] == [1, 2]:
+                yield g, dec
+
+
+def test_interval_single_pair_on_every_pair_deck():
+    # given each graph's own skeleton, the positions are exactly the orbit
+    # of the interval's position
+    seen = 0
+    for g, dec in pair_graphs_up_to_seven_vertices():
+        [(pos, part)] = [(pos, p) for pos, p in dec.intervals if p.n == 2]
+        got, positions = interval_single_pair(make_deck(g), dec.skeleton)
+        assert is_isomorphic(got, part), g.to_graph6()
+        assert positions == orbit_of(dec.skeleton, pos), g.to_graph6()
+        seen += 1
+    assert seen == 228
+
+
+def test_pair_decks_build_few_splice_decks(monkeypatch):
+    # a splice whose degree sequence is not the deck's never has its deck built
+    built = []
+
+    def building(g):
+        built.append(g)
+        return make_deck(g)
+
+    decks = [make_deck(g) for g, _ in pair_graphs_up_to_seven_vertices()]
+    monkeypatch.setattr(rc, "make_deck", building)
+    rc._cards.cache_clear()
+    for d in decks:
+        reconstruct(d)
+    assert len(decks) == 228
+    assert len(built) == 282
 
 
 # -- families ------------------------------------------------------------------
@@ -414,7 +459,7 @@ def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
         assert not again, (d, again)
         if i >= len(examples):
             total.update(name for name, *_ in calls)
-    assert total["_symmetry"] <= 2027
+    assert total["_symmetry"] <= 1724
     assert total["is_critically_indecomposable"] == 228
     assert total["_edge_count"] == 228
 
@@ -450,24 +495,15 @@ def test_reconstruct_tests_criticality_once_per_pair_deck(monkeypatch):
 
     monkeypatch.setattr(rc, "is_critically_indecomposable", counting)
     rc._cards.cache_clear()
-    pair_decks = 0
-    for n in range(4, 8):
-        for code in enumerate_graphs(n):
-            g = from_graph6(code)
-            dec = decompose(g)
-            if dec.kind is Kind.INDECOMPOSABLE:
-                continue
-            if dec.kind is Kind.PRIME and sorted(p.n for _, p in dec.intervals)[-2:] == [1, 2]:
-                pair_decks += 1
-            reconstruct(make_deck(g))
-    assert pair_decks == 228
-    assert len(calls) == pair_decks
+    for d in decomposable_decks_up_to_seven_vertices():
+        reconstruct(d)
+    assert len(calls) == sum(1 for _ in pair_graphs_up_to_seven_vertices()) == 228
 
 
 def test_reconstruct_canonicalises_each_large_graph_once_per_deck(monkeypatch):
-    # an 11-vertex skeleton takes the relaxed pair branch: its deletions and
-    # their induced copies are past canon's memo, so their codes are read
-    # through the card table
+    # an 11-vertex skeleton takes the relaxed pair branch: the card
+    # skeletons and the skeleton's deletions are past canon's memo, so their
+    # codes are read through the card table
     canon = importlib.import_module("deckrecon.canon")
     d = make_deck(from_graph6("K??BgqLZZ~^j"))
     calls = []
@@ -542,6 +578,31 @@ def test_reconstruct_open_cases():
         res2 = reconstruct(make_deck(g), oracle_fallback=True)
         assert res2.reconstructed and res2.provenance == "oracle"
         assert is_isomorphic(res2.graph, g)
+
+
+# Indecomposable graphs whose decks pass the skeleton checks of a branch the
+# theory leaves open; no decomposable graph has any of their decks.
+PAST_THE_SKELETON_CHECKS = "DBg DLs E@Ug EK]w F?U`w FHU}w G?CaKS G?CilO GLY]~[ GL]}~[".split()
+
+
+def test_reconstruct_indecomposable_decks_past_the_skeleton_checks():
+    # on the pair branch no splice has their deck; the hereditary orbit
+    # sets of the multi branch are reported before any splice
+    got = {}
+    for code in PAST_THE_SKELETON_CHECKS:
+        g = from_graph6(code)
+        assert decompose(g).kind is Kind.INDECOMPOSABLE, code
+        res = reconstruct(make_deck(g))
+        assert res.status == "unsupported", code
+        got[code] = res.reason
+        res = reconstruct(make_deck(g), oracle_fallback=True)
+        assert res.reconstructed and res.provenance == "oracle", code
+        assert is_isomorphic(res.graph, g), code
+    hereditary = {"E@Ug", "EK]w"}
+    assert got == {
+        code: "hereditary orbits" if code in hereditary else rc.NOT_DECOMPOSABLE
+        for code in PAST_THE_SKELETON_CHECKS
+    }
 
 
 def test_reconstruct_rejects_indecomposable_deck(c5):
