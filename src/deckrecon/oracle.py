@@ -51,6 +51,7 @@ from .modular import (
     skeleton,
 )
 from .reconstruct import (
+    _splice_condition,
     in_family_G,
     interval_single_large,
     interval_single_pair,
@@ -353,29 +354,19 @@ def _lem_3_6(g: Graph, dec, nons):
     if len(nons) != 1 or nons[0][1].n != 2:
         return
     pos, part = nons[0]
+    orbit = next(orb for orb in automorphism_orbits(dec.skeleton) if pos in orb)
 
     def recovered():
         got, positions = interval_single_pair(make_deck(g), dec.skeleton)
-        return is_isomorphic(got, part) and pos in positions
+        return is_isomorphic(got, part) and positions == orbit
 
     yield "", _holds(recovered)
 
 
 def _splice_condition_holds(dec) -> bool:
-    """Some interval has a one-vertex-deleted subgraph missing from the
-    interval multiset of its orbit (singletons included)."""
+    """Theorem 4.1's hypothesis on the true decomposition's intervals."""
     oix = orbit_index(automorphism_orbits(dec.skeleton))
-    by_orbit: dict[int, set[str]] = defaultdict(set)
-    for pos, p in dec.intervals:
-        by_orbit[oix[pos]].add(canonical_form(p))
-    for pos, p in dec.intervals:
-        if p.n < 2:
-            continue
-        t = oix[pos]
-        for u in range(p.n):
-            if canonical_form(p.delete_vertex(u)) not in by_orbit[t]:
-                return True
-    return False
+    return _splice_condition([(oix[pos], p) for pos, p in dec.intervals])
 
 
 def _reconstructs(g: Graph) -> bool:

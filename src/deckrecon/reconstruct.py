@@ -3,14 +3,15 @@
 The pipeline recovers the skeleton and the singleton count from the deck,
 then splits on the shape of the non-singleton maximal intervals: at least two
 of them, one of size >= 3, or one of size exactly 2. Each branch recovers the
-intervals and splices them back up to the original graph; both
-single-interval branches list their candidate splices and keep the one whose
-deck is the input deck. Outcomes the theory leaves open (hereditary orbit
+intervals and splices them back up to the original graph: every prime
+branch lists its candidate splices and keeps one whose deck is the input
+deck, turning a splice whose degree sequence is not the deck's down before
+its deck is built. Outcomes the theory leaves open (hereditary orbit
 sets; a size-2 interval whose target orbit the theory cannot pin down)
 surface as first-class Unsupported results. Every answer about one deck
 lives in one memo, its card table: card decodes, decompositions and skeleton
-codes, the skeleton split, the size-2 splices, canon's searches, the
-criticality test and the deck of each candidate graph. Each is computed on
+codes, the skeleton split, the deck's degree sequence, the size-2 splices,
+canon's searches, the criticality test and the deck of each candidate graph. Each is computed on
 first use and dropped with the table, so no question repeats within a deck
 and no deck is built twice. The public steps take the deck and look its
 table up once; every private step takes the table itself, with the deck at
@@ -27,7 +28,6 @@ from typing import Any, Callable, NamedTuple
 from .canon import (
     _symmetry,
     canonical_form,
-    is_isomorphic,
     orbit_index,
 )
 from .deck import Deck, DeckIntegrityError, _edge_count, make_deck
@@ -43,7 +43,6 @@ from .modular import (
 )
 
 SINGLETON = empty_graph(1)
-SINGLETON_CODE = canonical_form(SINGLETON)
 K2_CODE = canonical_form(Graph(2, (2, 1)))
 K2BAR_CODE = canonical_form(empty_graph(2))
 
@@ -148,6 +147,21 @@ def _split(cards: _CardTable, k: Graph) -> tuple[list[str], list[str]]:
 def _cards(d: Deck) -> _CardTable:
     """The card table of d; only the most recent deck's table is kept."""
     return _CardTable(d)
+
+
+def _degrees(cards: _CardTable) -> list[int]:
+    """The sorted degree sequence the deck gives (Kelly): |E| less each card's edges."""
+    graphs = cards.graphs()
+    total_edges = _edge_count(cards.deck.n, graphs)
+    return sorted(total_edges - g.edge_count() for g in graphs)
+
+
+def _gives_back(cards: _CardTable, g: Graph) -> bool:
+    """Whether g has the table's deck; a g whose degree sequence is not the
+    deck's is turned down before its deck is built."""
+    if sorted(map(g.degree, range(g.n))) != cards.know(_degrees):
+        return False
+    return cards.ask(make_deck, g) == cards.deck
 
 
 # -- deck-level skeleton and singleton statistics -----------------------------
@@ -315,10 +329,11 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
         for cand in _modules_of_order(cards.card(code).dec, size):
             candidates.setdefault(canonical_form(cand), cand)
     host = cards.prime(min(dk))
-    survivors: list[Graph] = []
-    for _, cand in sorted(candidates.items()):
-        if cards.ask(make_deck, _splice_unique(host, cand)) == d:
-            survivors.append(cand)
+    survivors = [
+        cand
+        for _, cand in sorted(candidates.items())
+        if _gives_back(cards, _splice_unique(host, cand))
+    ]
     if len(survivors) != 1:
         raise DeckIntegrityError("interval recovery did not isolate a unique interval")
     return survivors[0]
@@ -346,16 +361,10 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _pair_splices(cards: _CardTable, k: Graph) -> tuple[str, tuple[int, ...]]:
-    graphs = cards.graphs()
-    total_edges = cards.ask(_edge_count, cards.deck.n, tuple(graphs))
-    degrees = sorted(total_edges - g.edge_count() for g in graphs)
     found: dict[str, list[int]] = {}
     for orb in cards.ask(_symmetry, k)[1]:
         for icode in (K2_CODE, K2BAR_CODE):
-            splice = _inflate_at(k, orb[0], cards.ask(from_graph6, icode))
-            if sorted(map(splice.degree, range(splice.n))) != degrees:
-                continue
-            if cards.ask(make_deck, splice) == cards.deck:
+            if _gives_back(cards, _inflate_at(k, orb[0], cards.ask(from_graph6, icode))):
                 found.setdefault(icode, []).extend(orb)
     if len(found) != 1:
         raise DeckIntegrityError("no unique size-2 interval splices back to the deck")
@@ -456,93 +465,51 @@ def _inflate_at(k: Graph, pos: int, part: Graph) -> Graph:
     return inflate(k, [part if i == pos else SINGLETON for i in range(k.n)])
 
 
-def _reconstruct_multi(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
-    tagged = intervals_multi(cards.deck, k)
-    orbs = cards.ask(_symmetry, k)[1]
-    full: Counter[tuple[int, str]] = Counter(
-        (t, canonical_form(p)) for t, p in tagged
+def _splice_condition(tagged: list[tuple[int, Graph]]) -> bool:
+    """Theorem 4.1's hypothesis on orbit-tagged intervals, singletons
+    included: some interval has a one-vertex-deleted subgraph that is not an
+    interval of its own orbit."""
+    codes = {(t, canonical_form(p)): p for t, p in tagged}
+    by_orbit: dict[int, set[str]] = {}
+    for t, code in codes:
+        by_orbit.setdefault(t, set()).add(code)
+    return any(
+        canonical_form(p.delete_vertex(u)) not in by_orbit[t]
+        for (t, _), p in codes.items()
+        if p.n >= 2
+        for u in range(p.n)
     )
-    nonsingle_at = Counter(t for t, _ in tagged)
+
+
+def _reconstruct_multi(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
+    recovered = intervals_multi(cards.deck, k)
+    orbs = cards.ask(_symmetry, k)[1]
+    tagged = list(recovered)
+    nonsingle_at = Counter(t for t, _ in recovered)
     for t, orb in enumerate(orbs):
         extra = len(orb) - nonsingle_at[t]
         if extra < 0:
             raise DeckIntegrityError("more intervals than skeleton vertices in an orbit")
-        if extra:
-            full[(t, SINGLETON_CODE)] += extra
-    orbit_codes: dict[int, set[str]] = {}
-    for (t, code) in full:
-        orbit_codes.setdefault(t, set()).add(code)
-
-    found = None
-    for t, code in sorted({(t, canonical_form(p)) for t, p in tagged}):
-        part = cards.ask(from_graph6, code)
-        for u in range(part.n):
-            shrunk = canonical_form(part.delete_vertex(u))
-            if shrunk not in orbit_codes[t]:
-                found = (t, code, shrunk)
-                break
-        if found:
-            break
-
-    dk, non = cards.split(k)
-    if found is not None:
-        t, code, shrunk = found
-        target = Counter(full)
-        target[(t, code)] -= 1  # a zero count compares equal to a missing key
-        target[(t, shrunk)] += 1
-        orbit_tagged = _orbit_tagger(cards, k)
-        for card_code in sorted(set(dk)):
-            dec = cards.prime(card_code)
-            keys = [(tag, canonical_form(p)) for tag, p in orbit_tagged(dec)]
-            if Counter(keys) != target:
-                continue
-            hits = [pos for pos, key in enumerate(keys) if key == (t, shrunk)]
-            if len(hits) != 1:
-                raise DeckIntegrityError("shrunken interval position is not unique")
-            parts = [
-                cards.ask(from_graph6, code) if pos == hits[0] else p
-                for pos, p in dec.intervals
-            ]
-            return inflate(dec.skeleton, parts), "multi-interval splice"
-        raise DeckIntegrityError("no card exhibits the shrunken interval")
-
-    # every orbit's interval set is hereditary
-    if len(orbs) == 1:
-        return _vertex_transitive_rebuild(cards, k, full, non), "vertex-transitive skeleton"
-    raise UnsupportedCase("hereditary orbits")
-
-
-def _vertex_transitive_rebuild(cards: _CardTable, k: Graph, full: Counter, non: list[str]) -> Graph:
-    """Rebuild around a singleton-deleted card; the skeleton is regular, so the
-    missing vertex reattaches at the degree-deficient quotient positions."""
-    if full[(0, SINGLETON_CODE)] < 1:
-        raise DeckIntegrityError("hereditary orbit sets force a singleton interval")
-    reduced = k.delete_vertex(0)
-    if not is_indecomposable(reduced):
-        raise DeckIntegrityError("vertex-transitive skeleton with decomposable deletions")
-    ck1 = canonical_form(reduced)
-    want = Counter(code for _, code in full.elements())
-    want[SINGLETON_CODE] -= 1
-    degree = k.degree(0)
-    for card_code in sorted(set(non)):
-        dec, _, code = cards.card(card_code)
-        if dec.kind is not Kind.PRIME or code != ck1:
-            continue
-        if Counter(canonical_form(p) for _, p in dec.intervals) != want:
-            continue
-        quotient = dec.skeleton
-        deficient = 0
-        for pos in range(quotient.n):
-            if quotient.degree(pos) == degree - 1:
-                deficient |= 1 << pos
-        rows = [row | ((deficient >> pos & 1) << quotient.n) for pos, row in enumerate(quotient.adj)]
-        rows.append(deficient)
-        grown = Graph(quotient.n + 1, tuple(rows))
-        if not is_isomorphic(grown, k):
-            raise DeckIntegrityError("reattached quotient does not match the skeleton")
-        parts = [p for _, p in dec.intervals] + [SINGLETON]
-        return inflate(grown, parts)
-    raise DeckIntegrityError("no singleton-deleted card matches the recovered intervals")
+        tagged += [(t, SINGLETON)] * extra
+    held = _splice_condition(tagged)
+    if not held and len(orbs) > 1:
+        raise UnsupportedCase("hereditary orbits")
+    provenance = "multi-interval splice" if held else "vertex-transitive skeleton"
+    # each skeleton-preserving card shows one interval shrunk by a vertex:
+    # grow a part back to a recovered interval of its orbit
+    grown = list(dict.fromkeys(recovered))
+    orbit_tagged = _orbit_tagger(cards, k)
+    for code in sorted(set(cards.split(k)[0])):
+        dec = cards.prime(code)
+        parts = [p for _, p in dec.intervals]
+        for pos, (t, part) in enumerate(orbit_tagged(dec)):
+            for tag, big in grown:
+                if tag != t or big.n != part.n + 1:
+                    continue
+                g = inflate(dec.skeleton, parts[:pos] + [big] + parts[pos + 1 :])
+                if _gives_back(cards, g):
+                    return g, provenance
+    raise DeckIntegrityError("no splice of a recovered interval gives back the deck")
 
 
 def _reconstruct_single_large(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
@@ -608,7 +575,8 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
             return _unsupported(str(exc))
         except DeckIntegrityError:
             return _unsupported(NOT_DECOMPOSABLE)
-    # the single large branch has built this deck already, for its splice
+    # the multi-interval, vertex-transitive, single large and size-two
+    # branches have built this deck already, for their splice check
     if cards.ask(make_deck, g) != d:
         return _unsupported(NOT_DECOMPOSABLE)
     return ReconstructionResult("reconstructed", graph=g, provenance=provenance)

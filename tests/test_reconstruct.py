@@ -461,7 +461,9 @@ def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
             total.update(name for name, *_ in calls)
     assert total["_symmetry"] <= 1724
     assert total["is_critically_indecomposable"] == 228
-    assert total["_edge_count"] == 228
+    # one edge count per deck that reaches a splice check: 228 pair, 70
+    # single-large, 112 multi and 6 vertex-transitive decks
+    assert total["_edge_count"] == 416
 
 
 def test_reconstruct_outcome_histogram_up_to_seven_vertices():
@@ -498,6 +500,37 @@ def test_reconstruct_tests_criticality_once_per_pair_deck(monkeypatch):
     for d in decomposable_decks_up_to_seven_vertices():
         reconstruct(d)
     assert len(calls) == sum(1 for _ in pair_graphs_up_to_seven_vertices()) == 228
+
+
+def test_splice_branches_build_one_deck_each(monkeypatch):
+    # the multi, vertex-transitive and single-large branches build the deck
+    # of their answer and no other deck of the graph's order; hereditary
+    # orbit sets are reported before any splice
+    built = []
+
+    def building(g):
+        built.append(g.n)
+        return make_deck(g)
+
+    decks = list(decomposable_decks_up_to_seven_vertices())
+    monkeypatch.setattr(rc, "make_deck", building)
+    rc._cards.cache_clear()
+    decks_of = Counter()
+    builds_of = Counter()
+    for d in decks:
+        built.clear()
+        res = reconstruct(d)
+        outcome = res.provenance or res.reason
+        decks_of[outcome] += 1
+        builds_of[outcome] += built.count(d.n)
+    branches = (
+        "multi-interval splice",
+        "vertex-transitive skeleton",
+        "single large interval splice",
+        "hereditary orbits",
+    )
+    assert {b: decks_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 32)))
+    assert {b: builds_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 0)))
 
 
 def test_reconstruct_canonicalises_each_large_graph_once_per_deck(monkeypatch):
@@ -556,6 +589,49 @@ def test_reconstruct_past_twelve_vertices():
         "C13, one K2": "size-two interval, orbit identified",
         "Paley(13), one K2": "size-two interval, orbit identified",
     }
+
+
+def prime_circulants(lo: int, hi: int) -> list[Graph]:
+    """One graph per isomorphism class of indecomposable circulants on lo..hi vertices."""
+    found = {}
+    for n in range(lo, hi + 1):
+        steps = range(1, n // 2 + 1)
+        for mask in range(1, 1 << len(steps)):
+            jumps = [s for i, s in enumerate(steps) if mask >> i & 1]
+            edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in jumps}
+            g = Graph.from_edges(n, edges)
+            if is_indecomposable(g):
+                found.setdefault(canonical_form(g), g)
+    return list(found.values())
+
+
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+def test_reconstruct_vertex_transitive_skeletons_past_eight_vertices():
+    # two vertices of a vertex-transitive skeleton inflated: two edges leave
+    # the one orbit's interval set hereditary, while a triangle's deletion is
+    # no interval of that orbit, so Theorem 4.1's splice applies
+    skeletons = prime_circulants(5, 10)
+    assert len(skeletons) == 23
+    inflations = (
+        ((K2, K2), "vertex-transitive skeleton"),
+        ((complete_graph(3), empty_graph(2)), "multi-interval splice"),
+    )
+    for k in skeletons + [PETERSEN]:
+        assert len(automorphism_orbits(k)) == 1
+        for pair, provenance in inflations:
+            assert_reconstructs(inflate(k, [*pair] + [K1] * (k.n - 2)), provenance)
+    # the two Petersen decks the console entry point reconstructs
+    petersen = [inflate(PETERSEN, [*pair] + [K1] * 8) for pair, _ in inflations]
+    assert list(map(canonical_form, petersen)) == [
+        canonical_form(from_graph6(code)) for code in ("K~KMM?oAOJ?U", "L~wWNF_E?H?U?U")
+    ]
 
 
 def test_reconstruct_a_24_vertex_graph():
