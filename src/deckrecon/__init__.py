@@ -1,7 +1,6 @@
 """Graph reconstruction from vertex-deleted decks via modular decomposition."""
 
 from .canon import (
-    CapabilityError,
     automorphism_orbits,
     canonical_form,
     canonical_labeling,
@@ -30,6 +29,7 @@ from .graphs import (
     to_graph6,
 )
 from .modular import (
+    CapabilityError,
     Kind,
     ModularDecomposition,
     critically_indecomposable,

@@ -37,10 +37,6 @@ MEMO_ORDER_LIMIT = 8
 MEMO_SIZE = 2048
 
 
-class CapabilityError(ValueError):
-    """Input exceeds a documented size bound for an exact operation."""
-
-
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     """Equitable refinement: split cells by neighbour counts toward every cell."""
     cells = [list(c) for c in cells]

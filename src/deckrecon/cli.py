@@ -11,10 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-from .canon import CapabilityError, canonical_form
+from .canon import canonical_form
 from .deck import DeckError, load_deck, make_deck
 from .graphs import Graph, Graph6Error, from_graph6
-from .modular import Kind, decompose
+from .modular import CapabilityError, Kind, decompose
 from .reconstruct import reconstruct
 
 

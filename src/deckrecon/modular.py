@@ -5,8 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .canon import CapabilityError
 from .graphs import Graph, _bits
+
+
+class CapabilityError(ValueError):
+    """Input exceeds a documented size bound for an exact operation."""
 
 
 class Kind(str, Enum):

@@ -28,7 +28,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from .canon import (
-    CapabilityError,
     _find,
     _join,
     _search,
@@ -42,6 +41,7 @@ from .canon import (
 from .deck import Deck, edge_count_from_deck, make_deck
 from .graphs import Graph, from_graph6
 from .modular import (
+    CapabilityError,
     Kind,
     ModularDecomposition,
     critically_indecomposable,

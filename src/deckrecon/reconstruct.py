@@ -2,20 +2,19 @@
 
 The pipeline recovers the skeleton and the singleton count from the deck,
 then splits on the shape of the non-singleton maximal intervals: at least two
-of them, one of size >= 3, or one of size exactly 2. Each branch recovers the
-intervals and splices them back up to the original graph: every prime
-branch lists its candidate splices and keeps one whose deck is the input
-deck, turning a splice whose degree sequence is not the deck's down before
-its deck is built. Outcomes the theory leaves open (hereditary orbit
-sets; a size-2 interval whose target orbit the theory cannot pin down)
-surface as first-class Unsupported results. Every answer about one deck
-lives in one memo, its card table: card decodes, decompositions and skeleton
-codes, the skeleton split, the deck's degree sequence, the size-2 splices,
-canon's searches, the criticality test and the deck of each candidate graph. Each is computed on
-first use and dropped with the table, so no question repeats within a deck
-and no deck is built twice. The public steps take the deck and look its
-table up once; every private step takes the table itself, with the deck at
-cards.deck.
+of them, one of size >= 3, or one of size exactly 2. Each prime branch lists
+candidate splices of a recovered interval into a card, and one rule keeps the
+one isomorphism class whose deck is the input deck, turning a splice down on
+its degree sequence before its deck is built. Outcomes the theory leaves open
+(hereditary orbit sets; a size-2 interval whose target orbit the theory
+cannot pin down) surface as first-class Unsupported results. Every answer
+about one deck lives in one memo, its card table: card decodes,
+decompositions and skeleton codes, the skeleton split, the deck's degree
+sequence, the size-2 survivor, canon's searches, the criticality test, and
+the code and deck of each candidate graph. Each is computed on first use and
+dropped with the table, so no question repeats within a deck and no deck is
+built twice. The public steps take the deck and look its table up once;
+every private step takes the table itself, with the deck at cards.deck.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .canon import (
     _symmetry,
@@ -86,7 +85,7 @@ class _CardTable:
     ask(fn, *args) computes fn(*args) on first use and keeps it for the
     deck: decodes, canon's searches, criticality and the decks of candidate
     graphs alike. know(fact, *args) does the same for a fact about the deck,
-    fact(table, *args): a card's decomposition, the split, the size-2 splices.
+    fact(table, *args): a card's decomposition, the split, the size-2 survivor.
     Both key on (fn, *args), so no key holds the deck or the table: no
     question hashes the deck and no table is a reference cycle.
     """
@@ -156,12 +155,24 @@ def _degrees(cards: _CardTable) -> list[int]:
     return sorted(total_edges - g.edge_count() for g in graphs)
 
 
-def _gives_back(cards: _CardTable, g: Graph) -> bool:
-    """Whether g has the table's deck; a g whose degree sequence is not the
-    deck's is turned down before its deck is built."""
-    if sorted(map(g.degree, range(g.n))) != cards.know(_degrees):
-        return False
-    return cards.ask(make_deck, g) == cards.deck
+def _survivor(cards: _CardTable, splices: Iterable[tuple[Any, Graph]]) -> Any:
+    """The label of the first splice of the one isomorphism class whose deck
+    is the table's deck. A splice whose degree sequence is not the deck's,
+    or (once a survivor exists) whose code is the survivor's, is turned down
+    before its deck is built; two classes or none raise."""
+    found: list[tuple[Any, Graph]] = []
+    for label, g in splices:
+        if sorted(map(g.degree, range(g.n))) != cards.know(_degrees):
+            continue
+        if found and cards.ask(canonical_form, g) == cards.ask(canonical_form, found[0][1]):
+            continue
+        if cards.ask(make_deck, g) == cards.deck:
+            found.append((label, g))
+            if len(found) > 1:
+                break
+    if len(found) != 1:
+        raise DeckIntegrityError("no one isomorphism class of splices gives back the deck")
+    return found[0][0]
 
 
 # -- deck-level skeleton and singleton statistics -----------------------------
@@ -310,7 +321,8 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
 
     The interval is a module of every skeleton-changing card, and a strong
     one in some of them, so its candidates are the cards' strong modules on
-    its order; the one whose splice gives back the deck survives.
+    its order, each spliced into the first skeleton-preserving card; the one
+    whose splice is the one class with the deck survives.
     """
     cards = _cards(d)
     dk, non = cards.split(k)
@@ -329,14 +341,7 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
         for cand in _modules_of_order(cards.card(code).dec, size):
             candidates.setdefault(canonical_form(cand), cand)
     host = cards.prime(min(dk))
-    survivors = [
-        cand
-        for _, cand in sorted(candidates.items())
-        if _gives_back(cards, _splice_unique(host, cand))
-    ]
-    if len(survivors) != 1:
-        raise DeckIntegrityError("interval recovery did not isolate a unique interval")
-    return survivors[0]
+    return _survivor(cards, ((c, _splice_unique(host, c)) for _, c in sorted(candidates.items())))
 
 
 # -- interval recovery: a single non-singleton interval of size 2 -------------
@@ -347,9 +352,9 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     where splicing it into k gives back the deck.
 
     The candidates are K2 and its complement at one vertex of each orbit of
-    k. A candidate whose degree sequence is not the deck's (Kelly) is
-    skipped; of the rest, those whose deck is d survive. Exactly one
-    interval must survive, and its positions are the union of its orbits.
+    k. Splices at two orbits, or of two intervals, are two isomorphism
+    classes, so the one class whose deck is d names one interval and one
+    orbit, and the positions are that orbit.
     """
     if d.n != k.n + 1:
         raise ValueError("expects a skeleton one vertex smaller than the graph")
@@ -361,15 +366,13 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _pair_splices(cards: _CardTable, k: Graph) -> tuple[str, tuple[int, ...]]:
-    found: dict[str, list[int]] = {}
-    for orb in cards.ask(_symmetry, k)[1]:
-        for icode in (K2_CODE, K2BAR_CODE):
-            if _gives_back(cards, _inflate_at(k, orb[0], cards.ask(from_graph6, icode))):
-                found.setdefault(icode, []).extend(orb)
-    if len(found) != 1:
-        raise DeckIntegrityError("no unique size-2 interval splices back to the deck")
-    [(icode, positions)] = found.items()
-    return icode, tuple(sorted(positions))
+    splices = (
+        ((icode, orb), _inflate_at(k, orb[0], cards.ask(from_graph6, icode)))
+        for orb in cards.ask(_symmetry, k)[1]
+        for icode in (K2_CODE, K2BAR_CODE)
+    )
+    icode, orb = _survivor(cards, splices)
+    return icode, tuple(sorted(orb))
 
 
 # -- family predicates ---------------------------------------------------------
@@ -495,21 +498,20 @@ def _reconstruct_multi(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     if not held and len(orbs) > 1:
         raise UnsupportedCase("hereditary orbits")
     provenance = "multi-interval splice" if held else "vertex-transitive skeleton"
-    # each skeleton-preserving card shows one interval shrunk by a vertex:
-    # grow a part back to a recovered interval of its orbit
-    grown = list(dict.fromkeys(recovered))
-    orbit_tagged = _orbit_tagger(cards, k)
-    for code in sorted(set(cards.split(k)[0])):
-        dec = cards.prime(code)
-        parts = [p for _, p in dec.intervals]
-        for pos, (t, part) in enumerate(orbit_tagged(dec)):
-            for tag, big in grown:
-                if tag != t or big.n != part.n + 1:
-                    continue
-                g = inflate(dec.skeleton, parts[:pos] + [big] + parts[pos + 1 :])
-                if _gives_back(cards, g):
-                    return g, provenance
-    raise DeckIntegrityError("no splice of a recovered interval gives back the deck")
+    # every decomposable graph with the deck grows back from any one card
+    host = cards.prime(min(cards.split(k)[0]))
+    return _survivor(cards, ((g, g) for g in _grown_back(cards, k, host, recovered))), provenance
+
+
+def _grown_back(cards: _CardTable, k: Graph, dec, recovered: list) -> Iterator[Graph]:
+    """A skeleton-preserving card shows one interval shrunk by a vertex: each
+    graph that grows one of its parts back to a recovered interval of the
+    part's orbit, in position order."""
+    parts = [p for _, p in dec.intervals]
+    for pos, (t, part) in enumerate(_orbit_tagger(cards, k)(dec)):
+        for tag, big in dict.fromkeys(recovered):
+            if tag == t and big.n == part.n + 1:
+                yield inflate(dec.skeleton, parts[:pos] + [big] + parts[pos + 1 :])
 
 
 def _reconstruct_single_large(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
@@ -522,9 +524,6 @@ def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     # the splice check comes before the theory's choice, so a deck that no
     # splice gives back is not taken for an open case
     part, positions = interval_single_pair(cards.deck, k)
-    oix = orbit_index(cards.ask(_symmetry, k)[1])
-    if len({oix[p] for p in positions}) != 1:
-        raise DeckIntegrityError("inflation points span several orbits")
     if cards.ask(is_critically_indecomposable, k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
     # with no card keeping a prime quotient on |K| - 1 vertices, the one

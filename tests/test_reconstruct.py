@@ -533,10 +533,56 @@ def test_splice_branches_build_one_deck_each(monkeypatch):
     assert {b: builds_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 0)))
 
 
+def test_a_second_class_with_the_deck_refuses_it(monkeypatch):
+    # with every graph of the deck's order taken to have the deck, each
+    # prime branch meets a second isomorphism class past the degree filter
+    # and refuses the deck instead of keeping its first survivor
+    decks = {
+        "G?DcBs": "multi-interval splice",
+        "G?K}f?": "vertex-transitive skeleton",
+        "L@{o?CA?GC?T~P": "single large interval splice",
+        "F?LDg": "size-two interval, orbit identified (relaxed)",
+    }
+    for code, provenance in decks.items():
+        assert_reconstructs(from_graph6(code), provenance)
+    for code in decks:
+        d = make_deck(from_graph6(code))
+        monkeypatch.setattr(rc, "make_deck", lambda g: d if g.n == d.n else make_deck(g))
+        rc._cards.cache_clear()
+        res = reconstruct(d)
+        assert (res.status, res.reason) == ("unsupported", rc.NOT_DECOMPOSABLE), code
+    rc._cards.cache_clear()
+
+
+def test_every_skeleton_preserving_card_grows_back_the_graph():
+    # the multi branch grows back one card: every skeleton-preserving card of
+    # a graph with two or more non-singleton intervals (multi-interval,
+    # vertex-transitive or hereditary) has the graph among its grow-backs
+    decks = cards_seen = 0
+    for n in range(4, 8):
+        for code in enumerate_graphs(n):
+            g = from_graph6(code)
+            dec = decompose(g)
+            if dec.kind is not Kind.PRIME or sum(p.n >= 2 for _, p in dec.intervals) < 2:
+                continue
+            d = make_deck(g)
+            k = skeleton_from_deck(d)
+            recovered = intervals_multi(d, k)
+            cards = rc._cards(d)
+            for card in dict.fromkeys(cards.split(k)[0]):
+                grown = rc._grown_back(cards, k, cards.prime(card), recovered)
+                assert canonical_form(g) in set(map(canonical_form, grown)), (code, card)
+                cards_seen += 1
+            decks += 1
+    assert decks == 112 + 6 + 32
+    assert cards_seen == 320
+
+
 def test_reconstruct_canonicalises_each_large_graph_once_per_deck(monkeypatch):
     # an 11-vertex skeleton takes the relaxed pair branch: the card
     # skeletons and the skeleton's deletions are past canon's memo, so their
-    # codes are read through the card table
+    # codes are read through the card table; the survivor rule codes the
+    # surviving splice and the one later splice with the deck's degrees
     canon = importlib.import_module("deckrecon.canon")
     d = make_deck(from_graph6("K??BgqLZZ~^j"))
     calls = []
@@ -551,7 +597,7 @@ def test_reconstruct_canonicalises_each_large_graph_once_per_deck(monkeypatch):
     rc._cards.cache_clear()
     res = reconstruct(d)
     assert res.provenance == "size-two interval, orbit identified (relaxed)"
-    assert len(calls) == len(set(calls)) <= 22
+    assert len(calls) == len(set(calls)) <= 24
 
 
 def paley_graph(q: int) -> Graph:
