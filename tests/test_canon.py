@@ -27,7 +27,7 @@ from deckrecon.canon import (
     _small_code,
     canonical_code,
 )
-from deckrecon.oracle import catalog_graphs, enumerate_graphs
+from deckrecon.oracle import _build_catalog, catalog_graphs, enumerate_graphs
 from deckrecon.graphs import _triangle_bits, bits_to_graph6, from_graph6
 from deckrecon.modular import Kind, decompose
 from deckrecon.deck import make_deck
@@ -137,6 +137,54 @@ def test_strongly_regular_pair_gets_one_code_each():
             assert len(seen) == 1
             codes.append(seen.pop())
         assert codes[0] != codes[1]
+
+
+LATIN_SQUARE_7 = ("1265340", "6502134", "3641052", "0356421", "2430615", "5014263", "4123506")
+
+
+def latin_square_graph(square):
+    """Cells of a Latin square, adjacent when they share a row, a column or
+    a symbol. For LATIN_SQUARE_7 this is a rigid SRG(49, 18, 7, 6): refinement
+    splits nothing and no automorphism prunes the search."""
+    n = len(square)
+    cells = [(r, c, square[r][c]) for r in range(n) for c in range(n)]
+    pairs = itertools.combinations(enumerate(cells), 2)
+    return Graph.from_edges(
+        n * n, [(i, j) for (i, a), (j, b) in pairs if any(x == y for x, y in zip(a, b))]
+    )
+
+
+def random_latin_square(n, rng):
+    """A Latin square filled cell by cell with shuffled symbols, backtracking."""
+    square = [[-1] * n for _ in range(n)]
+
+    def fill(k):
+        if k == n * n:
+            return True
+        r, c = divmod(k, n)
+        free = [s for s in range(n) if s not in square[r] and all(row[c] != s for row in square)]
+        rng.shuffle(free)
+        for s in free:
+            square[r][c] = s
+            if fill(k + 1):
+                return True
+        square[r][c] = -1
+        return False
+
+    fill(0)
+    return square
+
+
+def test_rigid_latin_square_graphs_get_one_code_each():
+    rng = random.Random(49)
+    for g in (latin_square_graph(LATIN_SQUARE_7), latin_square_graph(random_latin_square(8, rng))):
+        codes = set()
+        for _ in range(3):
+            h = relabelled(g, rng)
+            code = canonical_form(h)
+            assert h.relabel(canonical_labeling(h)) == from_graph6(code)
+            codes.add(code)
+        assert len(codes) == 1, g.n
 
 
 def test_is_isomorphic_basic():
@@ -256,15 +304,72 @@ def search_nodes(monkeypatch, g):
     """Nodes of canon's search of g, counted as refinements (one per node)."""
     calls = 0
 
-    def counted(adj, cells):
+    def counted(adj, cells, start=0):
         nonlocal calls
         calls += 1
-        return _refine(adj, cells)
+        return _refine(adj, cells, start)
 
     monkeypatch.setattr(canon, "_refine", counted)
     canonical_code(g.n, g.adj)
     monkeypatch.undo()
     return calls
+
+
+def full_rescan_refine(adj, cells):
+    """`_refine` before it skipped splitters that cannot split, kept as its
+    oracle: after every split it rescans every cell against every cell."""
+    cells = [list(c) for c in cells]
+    while True:
+        split = False
+        for s in range(len(cells)):
+            smask = 0
+            for v in cells[s]:
+                smask |= 1 << v
+            new: list[list[int]] = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new.append(cell)
+                    continue
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    new.append(cell)
+                else:
+                    split = True
+                    for key in sorted(groups):
+                        new.append(groups[key])
+            if split:
+                cells = new
+                break
+        if not split:
+            return cells
+
+
+def test_refinement_matches_the_full_rescan(monkeypatch):
+    # Every refinement canon runs, with the start _search gives it, returns
+    # the cells the full rescan returns, so the search tree cannot move.
+    calls = 0
+
+    def checked(adj, cells, start=0):
+        nonlocal calls
+        calls += 1
+        got = _refine(adj, cells, start)
+        assert got == full_rescan_refine(adj, cells), (adj, cells, start)
+        return got
+
+    monkeypatch.setattr(canon, "_refine", checked)
+    assert _search(0, (), [[]])[0] == []
+    for n in range(1, 8):
+        assert _build_catalog(n, enumerate_graphs(n - 1)) == enumerate_graphs(n)
+    rng = random.Random(23)
+    graphs = [random_graph(n, rng) for n in range(12, 41, 4)]
+    graphs += [empty_graph(20), matching(24), latin_square_graph(LATIN_SQUARE_7)]
+    graphs += [disjoint_union([cycle_graph(5)] * k) for k in (2, 3, 4)]
+    for g in graphs:
+        h = relabelled(g, rng)
+        canonical_code(h.n, h.adj)
+    assert calls > 10_000
 
 
 def test_backjumping_bounds_the_search_on_symmetric_graphs(monkeypatch):
