@@ -15,8 +15,8 @@ Each order is built once per process and kept in memory; nothing is read
 from or written to disk. Class counts are checked against the known
 sequence 1, 1, 2, 4, 11, 34, 156, 1044, 12346 before a catalog is
 returned. On top of the catalogs sit a brute-force deck preimage oracle and
-a registry of named claims, each verified exhaustively over the relevant
-catalog range.
+a registry of named claims, all checked by one loop (`_sweep`) over the
+catalog graphs, deck classes, orders or half-graphs in each claim's range.
 """
 
 from __future__ import annotations
@@ -183,25 +183,30 @@ class ClaimReport:
         return {**asdict(self), "witnesses": list(self.witnesses)}
 
 
-def _sweep(lo: int, cases, hi: int | None = None):
-    """The CLAIMS entry (lo, hi, claim) of a claim tested graph by graph.
+def _catalog(n: int):
+    """(code, graph) for every catalog graph on n vertices."""
+    return ((code, from_graph6(code)) for code in enumerate_graphs(n))
 
-    claim(top) runs cases(g) on every catalog graph on lo..top vertices.
-    Each (label, ok) it yields is one test; a failing test's witness is the
-    graph's code followed by label. A top past the catalogs is refused
-    before any graph is examined.
+
+def _sweep(lo: int, cases, hi: int | None = None, over=_catalog):
+    """The CLAIMS entry (lo, hi, claim): this one loop checks every claim.
+
+    claim(top) runs cases(item) on each (name, item) of over(n), n = lo..top.
+    Each (label, ok) it yields is one test, and a failing one's witness is
+    name + label. With no hi the claim sweeps the catalogs, so a top past
+    them is refused before any graph is examined.
     """
 
     def claim(top: int):
-        if top > ENUMERATION_LIMIT:
+        if hi is None and top > ENUMERATION_LIMIT:
             raise CapabilityError(f"enumeration limited to {ENUMERATION_LIMIT} vertices")
         tested, witnesses = 0, []
         for n in range(lo, top + 1):
-            for code in enumerate_graphs(n):
-                for label, ok in cases(from_graph6(code)):
+            for name, item in over(n):
+                for label, ok in cases(item):
                     tested += 1
                     if not ok:
-                        witnesses.append(code + label)
+                        witnesses.append(name + label)
         return tested, witnesses
 
     return lo, hi, claim
@@ -241,31 +246,22 @@ def _deleted_indecomposable(g: Graph) -> tuple[list[int], list[int]]:
     return [m for m in one if table[m]], [m for m in two if table[m]]
 
 
-def _claim_fig1_counts(max_n: int):
-    expected = {3: 0, 4: 1, 5: 4}
-    tested, witnesses = 0, []
-    for n, want in expected.items():
-        if n > max_n:
-            continue
-        tested += 1
-        got = sum(1 for g in catalog_graphs(n) if is_indecomposable(g))
-        if got != want:
-            witnesses.append(f"n={n}: counted {got}, expected {want}")
-    return tested, witnesses
+def _fig1_counts(n: int):
+    # Figure 1: no indecomposable graph on 3 vertices, one on 4, four on 5
+    got, want = sum(map(is_indecomposable, catalog_graphs(n))), (0, 1, 4)[n - 3]
+    yield f": counted {got}, expected {want}", got == want
 
 
-def _claim_fig2_criticality(max_n: int):
-    tested, witnesses = 0, []
-    for n in (4, 6, 8, 10):
-        if n > max_n:
-            continue
-        for complemented in (False, True):
-            g = critically_indecomposable(n, complemented)
-            tested += 1
-            one, two = _deleted_indecomposable(g)
-            if not (is_indecomposable(g) and not one and two):
-                witnesses.append(g.to_graph6())
-    return tested, witnesses
+def _half_graphs(n: int):
+    """(graph6, graph) for the half-graph on n vertices and its complement."""
+    halves = [critically_indecomposable(n, c) for c in (False, True)] if n % 2 == 0 else []
+    return [(g.to_graph6(), g) for g in halves]
+
+
+def _fig2_criticality(g: Graph):
+    # indecomposable, with no indecomposable card but one on n - 2 vertices
+    one, two = _deleted_indecomposable(g)
+    yield "", is_indecomposable(g) and not one and bool(two)
 
 
 def _thm_2_2(g: Graph):
@@ -402,30 +398,19 @@ def _thm_4_6(g: Graph, dec, nons):
         yield "", _reconstructs(g)
 
 
-def _claim_recognition(max_n: int):
+def _deck_classes(n: int):
+    """(codes joined by spaces, codes) for each deck of the n-vertex graphs."""
+    return [(" ".join(codes), codes) for codes in _deck_index(n).values()]
+
+
+def _recognition(codes: list[str]):
     # indecomposability is decided by the deck: deck-equal graphs agree on it
-    tested, witnesses = 0, []
-    for n in range(3, max_n + 1):
-        for codes in _deck_index(n).values():
-            tested += 1
-            if len({is_indecomposable(from_graph6(code)) for code in codes}) > 1:
-                witnesses.append(" ".join(codes))
-    return tested, witnesses
+    yield "", len({is_indecomposable(from_graph6(code)) for code in codes}) == 1
 
 
-def _claim_rc_exhaustive(max_n: int):
-    # decks determine graphs for 3 <= n <= 7; at n = 2 both graphs share a deck
-    tested, witnesses = 0, []
-    for n in range(3, max_n + 1):
-        for codes in _deck_index(n).values():
-            tested += 1
-            if len(codes) != 1:
-                witnesses.append(" ".join(codes))
-    if max_n >= 2:
-        tested += 1
-        if len(_deck_index(2)) != 1:
-            witnesses.append("n=2 decks unexpectedly distinguish the two graphs")
-    return tested, witnesses
+def _rc_exhaustive(codes: list[str]):
+    # decks determine graphs for 3 <= n <= 8; at n = 2 both graphs share a deck
+    yield "", len(codes) == (2 if from_graph6(codes[0]).n == 2 else 1)
 
 
 def _kelly(g: Graph):
@@ -464,8 +449,8 @@ def _reconstruction(g: Graph):
 # claim id -> (smallest order the claim examines, largest order it examines
 # or None for the requested max_n, check up to a given order)
 CLAIMS = {
-    "fig1-counts": (3, 5, _claim_fig1_counts),
-    "fig2-criticality": (4, 10, _claim_fig2_criticality),
+    "fig1-counts": _sweep(3, _fig1_counts, hi=5, over=lambda n: [(f"n={n}", n)]),
+    "fig2-criticality": _sweep(4, _fig2_criticality, hi=10, over=_half_graphs),
     "thm-2.2": _sweep(4, _thm_2_2),
     "lem-2.3": _sweep(5, _lem_2_3),
     "cor-2.5": _sweep(6, _cor_2_5),
@@ -478,8 +463,8 @@ CLAIMS = {
     "cor-4.2": _sweep(5, _cor_4_2),
     "cor-4.3": _sweep(4, _cor_4_3),
     "thm-4.6": _sweep(5, _thm_4_6),
-    "recognition": (3, 6, _claim_recognition),
-    "rc-exhaustive": (2, 7, _claim_rc_exhaustive),
+    "recognition": _sweep(3, _recognition, hi=8, over=_deck_classes),
+    "rc-exhaustive": _sweep(2, _rc_exhaustive, hi=8, over=_deck_classes),
     "kelly": _sweep(3, _kelly, hi=7),
     "reconstruction": _sweep(4, _reconstruction),
 }

@@ -584,23 +584,23 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
 def reconstruct(d: Deck, *, oracle_fallback: bool = False) -> ReconstructionResult:
     """Reconstruct the graph behind a deck, or report why the theory cannot.
 
-    With oracle_fallback, open cases at desk scale (n <= 8) are settled by the
-    exhaustive catalog instead; provenance then reads "oracle".
+    With oracle_fallback, open cases within the catalogs' order limit are
+    settled by the exhaustive catalog instead; provenance then reads "oracle".
     """
     result = _reconstruct_core(d)
-    if result.status != "reconstructed" and oracle_fallback and d.n <= 8:
-        from .oracle import oracle_preimages
+    if result.status == "reconstructed" or not oracle_fallback:
+        return result
+    from .oracle import ENUMERATION_LIMIT, oracle_preimages
 
-        preimages = oracle_preimages(d)
-        if len(preimages) == 1:
-            return ReconstructionResult(
-                "reconstructed", graph=preimages[0], provenance="oracle"
-            )
-        if not preimages:
-            return _unsupported("no graph on this many vertices has this deck")
-        return ReconstructionResult(
-            "ambiguous",
-            candidates=tuple(sorted(canonical_form(g) for g in preimages)),
-            reason=result.reason,
-        )
-    return result
+    if d.n > ENUMERATION_LIMIT:
+        return result
+    preimages = oracle_preimages(d)
+    if len(preimages) == 1:
+        return ReconstructionResult("reconstructed", graph=preimages[0], provenance="oracle")
+    if not preimages:
+        return _unsupported("no graph on this many vertices has this deck")
+    return ReconstructionResult(
+        "ambiguous",
+        candidates=tuple(sorted(canonical_form(g) for g in preimages)),
+        reason=result.reason,
+    )

@@ -106,11 +106,11 @@ def test_verify_claim(capsys):
 
 
 def test_verify_reports_the_orders_it_examined(capsys):
-    # kelly stops at 7 and recognition at 6, whatever larger --max-n is given
+    # kelly stops at 7 and recognition at 8, whatever larger --max-n is given
     code, out, _ = run(capsys, "verify", "kelly", "--max-n", "9")
     assert code == 0 and out.startswith("claim kelly up to n=7: ")
     code, out, _ = run(capsys, "verify", "recognition", "--max-n", "9", "--json")
-    assert code == 0 and json.loads(out)["max_n"] == 6
+    assert code == 0 and json.loads(out)["max_n"] == 8
 
 
 def test_verify_a_range_that_tests_nothing_exits_2(capsys):

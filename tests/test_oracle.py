@@ -187,8 +187,8 @@ def test_reports_give_the_highest_order_examined():
     assert tops == {
         "fig1-counts": 5,
         "fig2-criticality": 10,
-        "recognition": 6,
-        "rc-exhaustive": 7,
+        "recognition": 8,
+        "rc-exhaustive": 8,
         "kelly": 7,
     }
     for name, hi in tops.items():
@@ -286,3 +286,23 @@ def test_witness_formats(monkeypatch):
     )
     c4 = canonical_form(cycle_graph(4))
     assert check_claim("reconstruction", 4).witnesses == (f"{c4} unsupported: stub",)
+
+    # a deck-class claim names the class's codes; at n = 2 the two graphs
+    # must share one deck, and decks that tell them apart fail by code
+    p4 = canonical_form(path_graph(4))
+    e2, k2 = canonical_form(empty_graph(2)), canonical_form(complete_graph(2))
+    index = oracle._deck_index
+    forged = {2: {("x",): [e2], ("y",): [k2]}, 4: {("x",): [p4, c4]}}
+    monkeypatch.setattr(oracle, "_deck_index", lambda n: forged.get(n) or index(n))
+    assert check_claim("recognition", 5).witnesses == (f"{p4} {c4}",)
+    assert check_claim("rc-exhaustive", 5).witnesses == (e2, k2, f"{p4} {c4}")
+
+    # fig1-counts names the order and both counts; fig2-criticality the
+    # half-graph's graph6
+    indecomposable = oracle.is_indecomposable
+    monkeypatch.setattr(
+        oracle, "is_indecomposable", lambda g: g.n != 4 and indecomposable(g)
+    )
+    assert check_claim("fig1-counts", 5).witnesses == ("n=4: counted 0, expected 1",)
+    halves = [oracle.critically_indecomposable(4, c).to_graph6() for c in (False, True)]
+    assert check_claim("fig2-criticality", 6).witnesses == tuple(halves)

@@ -744,6 +744,18 @@ def test_reconstruct_fabricated_deck_has_no_preimage():
     assert res.status == "unsupported"
 
 
+def test_oracle_fallback_past_the_catalogs_keeps_the_default_result(monkeypatch):
+    # an open case past the catalogs' order limit: the fallback returns the
+    # theory's answer and never asks the catalog oracle
+    oracle = importlib.import_module("deckrecon.oracle")
+    monkeypatch.setattr(oracle, "oracle_preimages", lambda d: pytest.fail("oracle asked"))
+    d = make_deck(inflate(path_graph(13), [K2] + [K1] * 12))
+    assert d.n > oracle.ENUMERATION_LIMIT
+    res = reconstruct(d)
+    assert res.status == "unsupported"
+    assert reconstruct(d, oracle_fallback=True) == res
+
+
 def test_reconstruct_random_decomposable_graphs():
     rng = random.Random(99)
     done = 0
