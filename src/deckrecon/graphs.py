@@ -129,7 +129,25 @@ class Graph:
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self._spanned(0)
+
+    def is_co_connected(self) -> bool:
+        """Whether the complement is connected, without building it."""
+        return self._spanned((1 << self.n) - 1)
+
+    def _spanned(self, flip: int) -> bool:
+        """Whether one search from vertex 0 along the rows xor flip reaches
+        every vertex; a row's own bit that flip sets is already reached."""
+        if self.n <= 1:
+            return True
+        reached = frontier = 1
+        while frontier:
+            grow = 0
+            for v in _bits(frontier):
+                grow |= self.adj[v] ^ flip
+            frontier = grow & ~reached
+            reached |= frontier
+        return reached == (1 << self.n) - 1
 
     def to_graph6(self) -> str:
         return to_graph6(self)

@@ -90,8 +90,9 @@ def _build_catalog(n: int, prev: tuple[str, ...]) -> tuple[str, ...]:
     Vertex n-1 is joined to the parent's vertices in a mask. Masks in one
     orbit of the parent's automorphisms give isomorphic graphs, so only the
     first mask of each orbit is canonicalised; the automorphisms are those
-    canon's search records, each a leaf collision with equal bits and so a
-    true one (missing some only splits orbits, and skips fewer masks). Only
+    canon's search records, each a swap of twins or a leaf collision with
+    equal bits, and so a true one (missing some only splits orbits, and
+    skips fewer masks). Only
     graphs with at most floor(m/2) of the m = C(n, 2) edges are built: such
     a graph G extends its card G - v, which has e - deg(v) edges and so
     room for deg(v) more. Every other class is the complement of one with

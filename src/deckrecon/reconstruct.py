@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .canon import (
@@ -76,7 +77,6 @@ class ReconstructionResult:
 class _Card(NamedTuple):
     dec: ModularDecomposition
     skeleton: Graph
-    skeleton_code: str
 
 
 class _CardTable:
@@ -126,11 +126,11 @@ class _CardTable:
 
 
 def _card(cards: _CardTable, code: str) -> _Card:
-    """A card's decomposition, skeleton and skeleton code; the degenerate branch asks none."""
+    """A card's decomposition and skeleton; the degenerate branch asks neither.
+    A skeleton is coded only where it is compared, on the compared order."""
     g = cards.ask(from_graph6, code)
     dec = decompose(g)
-    k = _skeleton_of(g, dec)
-    return _Card(dec, k, cards.ask(canonical_form, k))
+    return _Card(dec, _skeleton_of(g, dec))
 
 
 def _split(cards: _CardTable, k: Graph) -> tuple[list[str], list[str]]:
@@ -138,7 +138,8 @@ def _split(cards: _CardTable, k: Graph) -> tuple[list[str], list[str]]:
     dk: list[str] = []
     non: list[str] = []
     for code in cards.deck.cards:
-        (dk if cards.card(code).skeleton_code == target else non).append(code)
+        sk = cards.card(code).skeleton
+        (dk if sk.n == k.n and cards.ask(canonical_form, sk) == target else non).append(code)
     return dk, non
 
 
@@ -181,14 +182,14 @@ def _survivor(cards: _CardTable, splices: Iterable[tuple[Any, Graph]]) -> Any:
 def skeleton_from_deck(d: Deck) -> Graph:
     """The unique largest card skeleton on >= 4 vertices."""
     cards = _cards(d)
-    orders = {c.skeleton_code: c.skeleton.n for c in map(cards.card, dict.fromkeys(d.cards))}
-    top_n = max(orders.values())
+    skeletons = [cards.card(code).skeleton for code in dict.fromkeys(d.cards)]
+    top_n = max(k.n for k in skeletons)
     if top_n < 4:
         raise DeckIntegrityError("no card has a skeleton on four or more vertices")
-    top_codes = [code for code, n in orders.items() if n == top_n]
+    top_codes = {cards.ask(canonical_form, k) for k in skeletons if k.n == top_n}
     if len(top_codes) > 1:
         raise DeckIntegrityError("largest card skeletons disagree")
-    return cards.ask(from_graph6, top_codes[0])
+    return cards.ask(from_graph6, top_codes.pop())
 
 
 def singleton_count(d: Deck, k: Graph) -> int:
@@ -442,12 +443,17 @@ def _degenerate_rebuild(cards: _CardTable) -> Graph | None:
     card table.
     """
     n, graphs = cards.deck.n, cards.graphs()
-    if sum(1 for g in graphs if g.is_connected()) <= 1:
+    if _at_most_one(g.is_connected() for g in graphs):
         return _rebuild_from_components(cards, n, graphs)
-    flipped = [g.complement() for g in graphs]
-    if sum(1 for g in flipped if g.is_connected()) <= 1:
+    if _at_most_one(g.is_co_connected() for g in graphs):
+        flipped = [g.complement() for g in graphs]
         return _rebuild_from_components(cards, n, flipped).complement()
     return None
+
+
+def _at_most_one(tests: Iterable[bool]) -> bool:
+    """Whether at most one test holds; it stops at the second that does."""
+    return len(list(islice(filter(None, tests), 2))) < 2
 
 
 def reconstruct_degenerate(d: Deck) -> Graph:

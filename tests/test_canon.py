@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -218,22 +219,73 @@ def circulant(n, steps):
     return Graph.from_edges(n, [(v, (v + s) % n) for v in range(n) for s in steps])
 
 
+def largest_twin_class(g):
+    """The most vertices sharing one open (false twins) or closed (true
+    twins) neighbourhood."""
+    sizes = Counter()
+    for v in range(g.n):
+        sizes[g.adj[v]] += 1
+        sizes[g.adj[v] | 1 << v] += 1
+    return max(sizes.values())
+
+
+def join(g, h):
+    return disjoint_union([g.complement(), h.complement()]).complement()
+
+
+def twin_rich_graphs():
+    """Graphs on at most 9 vertices built from twins, whose searches canon
+    seeds with twin swaps: complete multipartite graphs, threshold graphs,
+    cographs, and P4 and C5 with vertices inflated to K2, its complement and
+    K3. No twin class exceeds four vertices, so the unpruned search, with
+    one leaf per ordering of each class, stays small."""
+    rng = random.Random(24)
+    K1 = empty_graph(1)
+    graphs = [
+        disjoint_union([complete_graph(s) for s in sizes]).complement()
+        for sizes in ((1, 2), (2, 2), (1, 2, 3), (2, 2, 2), (3, 3), (2, 3, 4), (3, 3, 3), (1, 1, 3, 4))
+    ]
+    for _ in range(12):  # threshold: each new vertex isolated or dominating
+        g = K1
+        for _ in range(rng.randrange(4, 9)):
+            g = join(g, K1) if rng.random() < 0.5 else disjoint_union([g, K1])
+        graphs.append(g)
+
+    def cograph(n):
+        if n == 1:
+            return K1
+        a = rng.randrange(1, n)
+        g, h = cograph(a), cograph(n - a)
+        return join(g, h) if rng.random() < 0.5 else disjoint_union([g, h])
+
+    graphs += [cograph(rng.randrange(4, 10)) for _ in range(20)]
+    parts = (K1, complete_graph(2), empty_graph(2), complete_graph(3))
+    for k in (path_graph(4), cycle_graph(5)):
+        for _ in range(10):
+            chosen = [rng.choice(parts) for _ in range(k.n)]
+            if sum(p.n for p in chosen) <= 9:
+                graphs.append(inflate(k, chosen))
+    return [g for g in graphs if largest_twin_class(g) <= 4]
+
+
 def test_pruned_search_finds_the_unpruned_minimum():
-    # the catalogs to 7 vertices, and every circulant on 7-10 vertices but the
-    # empty and complete ones (n! leaves unpruned), under seeded relabellings
+    # the catalogs to 7 vertices, every circulant on 7-10 vertices but the
+    # empty and complete ones (n! leaves unpruned), and twin-rich graphs,
+    # under seeded relabellings; the canonical order (`_symmetry`'s, which
+    # `canonical_labeling` projects) maps each relabelling onto its code
     graphs = [from_graph6(code) for n in range(2, 8) for code in enumerate_graphs(n)]
     for n in range(7, 11):
         steps = range(1, n // 2 + 1)
         for k in range(1, len(steps)):
             graphs += [circulant(n, chosen) for chosen in itertools.combinations(steps, k)]
+    graphs += twin_rich_graphs()
     rng = random.Random(31)
     for g in graphs:
         want = unpruned_code(g)
         for _ in range(3):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            h = g.relabel(perm)
+            h = relabelled(g, rng)
             assert canonical_code(h.n, h.adj) == want, g.to_graph6()
+            assert h.relabel(canonical_labeling(h)) == from_graph6(want), g.to_graph6()
 
 
 def brute_orbits(g):
@@ -268,6 +320,13 @@ def test_orbits_match_brute_force_on_random_labelled_graphs():
     for _ in range(150):
         g = random_graph(rng.randrange(2, 8), rng, rng.random())
         assert automorphism_orbits(g) == brute_orbits(g)
+    # twin-rich graphs, whose twin swaps join orbits before any leaf; past 7
+    # vertices the brute force takes seconds a graph
+    small = [g for g in twin_rich_graphs() if g.n <= 7]
+    assert len(small) > 20
+    for g in small:
+        h = relabelled(g, rng)
+        assert automorphism_orbits(h) == brute_orbits(h), g.to_graph6()
 
 
 def test_orbits_of_symmetric_graphs():
@@ -380,6 +439,20 @@ def test_backjumping_bounds_the_search_on_symmetric_graphs(monkeypatch):
     for g, bound in ((empty_graph(20), 210), (matching(24), 110)):
         for _ in range(5):
             assert search_nodes(monkeypatch, relabelled(g, rng)) <= bound, g.n
+
+
+def test_twin_swaps_bound_the_search_on_the_empty_graph(monkeypatch):
+    # Every swap of consecutive twins past the individualised prefix fixes
+    # it, so each node prunes all its siblings: one path of 64 nodes.
+    # Backjumping alone takes 64 * 65 / 2 = 2,080.
+    rng = random.Random(64)
+    g = empty_graph(64)
+    codes = set()
+    for _ in range(3):
+        h = relabelled(g, rng)
+        assert search_nodes(monkeypatch, h) <= 64
+        codes.add(canonical_code(h.n, h.adj))
+    assert codes == {canonical_form(g)}
 
 
 def rooted_orbits(g):

@@ -81,6 +81,12 @@ def test_components_and_connectivity():
     assert cycle_graph(4).is_connected()
     assert empty_graph(0).is_connected()
     assert empty_graph(1).is_connected()
+    # one search each, against the component lists of the graph and its complement
+    rng = random.Random(3)
+    for _ in range(200):
+        h = random_graph(rng.randrange(0, 9), rng, rng.random())
+        assert h.is_connected() == (len(h.components()) <= 1)
+        assert h.is_co_connected() == (len(h.complement().components()) <= 1)
 
 
 # -- graph6 --------------------------------------------------------------------

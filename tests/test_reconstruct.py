@@ -580,9 +580,10 @@ def test_every_skeleton_preserving_card_grows_back_the_graph():
 
 def test_reconstruct_canonicalises_each_large_graph_once_per_deck(monkeypatch):
     # an 11-vertex skeleton takes the relaxed pair branch: the card
-    # skeletons and the skeleton's deletions are past canon's memo, so their
-    # codes are read through the card table; the survivor rule codes the
-    # surviving splice and the one later splice with the deck's degrees
+    # skeletons on its order and the skeleton's deletions are past canon's
+    # memo, so their codes are read through the card table; the survivor
+    # rule codes the surviving splice and the one later splice with the
+    # deck's degrees; no 10-vertex card skeleton is coded
     canon = importlib.import_module("deckrecon.canon")
     d = make_deck(from_graph6("K??BgqLZZ~^j"))
     calls = []
@@ -597,7 +598,39 @@ def test_reconstruct_canonicalises_each_large_graph_once_per_deck(monkeypatch):
     rc._cards.cache_clear()
     res = reconstruct(d)
     assert res.provenance == "size-two interval, orbit identified (relaxed)"
-    assert len(calls) == len(set(calls)) <= 24
+    assert len(calls) == len(set(calls)) <= 14
+
+
+def test_card_skeletons_are_coded_only_on_the_compared_order(monkeypatch):
+    # a skeleton on another order than the deck's largest one never has the
+    # compared code, so no such skeleton is canonicalised
+    skeletons = {}
+    coded = []
+    card_skeleton = rc._skeleton_of
+
+    def skeleton_of(g, dec):
+        k = card_skeleton(g, dec)
+        skeletons[id(k)] = k
+        return k
+
+    def recording(g):
+        coded.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(rc, "_skeleton_of", skeleton_of)
+    monkeypatch.setattr(rc, "canonical_form", recording)
+    compared = lower = 0
+    for d in decomposable_decks_up_to_seven_vertices():
+        rc._cards.cache_clear()
+        skeletons.clear()
+        coded.clear()
+        reconstruct(d)
+        top = max((k.n for k in skeletons.values()), default=0)
+        assert all(g.n == top for g in coded if id(g) in skeletons), d
+        compared += any(id(g) in skeletons for g in coded)
+        lower += any(k.n < top for k in skeletons.values())
+    # the 448 decks that compare skeletons each hold one on a smaller order
+    assert compared == lower == 448
 
 
 def paley_graph(q: int) -> Graph:
