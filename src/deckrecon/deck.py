@@ -18,7 +18,7 @@ class DeckIntegrityError(ValueError):
     """A deck failed an exact consistency identity it must satisfy."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deck:
     """The multiset of n one-vertex-deleted subgraphs of an n-vertex graph.
 

@@ -34,7 +34,7 @@ def _check_rows(n: int, adj: tuple[int, ...]) -> None:
             raise ValueError(f"loop at vertex {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; adj[v] holds N(v) as a bitmask.
 
@@ -238,6 +238,11 @@ def _check_char(ch: str) -> int:
     return value
 
 
+# graph6 body character -> its six bits as text; other characters stay one
+# character long
+_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
+
+
 def from_graph6(text: str) -> Graph:
     """Decode a graph6 string (optionally carrying the standard header)."""
     if text.startswith(GRAPH6_HEADER):
@@ -264,20 +269,27 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error("graph6 body shorter than the triangle requires")
     if len(body) > need:
         raise Graph6Error("trailing bytes after graph6 body")
-    bits: list[int] = []
-    for ch in body:
-        value = _check_char(ch)
-        bits.extend(value >> s & 1 for s in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    # the body's bits, reversed into one int, so that body bit idx is bit
+    # idx of x: column j's bits x(0, j), ..., x(j - 1, j) are row j's lower
+    # neighbours, in vertex order
+    sixes = body.translate(_SIX_BITS)
+    if len(sixes) != 6 * len(body):
+        for ch in body:
+            _check_char(ch)
+    x = int(sixes[::-1], 2) if sixes else 0
+    if x >> nbits:
         raise Graph6Error("nonzero padding bits")
     rows = [0] * n
-    idx = 0
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+        col = x >> start & ((1 << j) - 1)
+        start += j
+        rows[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
     # the rows are symmetric by construction; the other checks still run
     adj = tuple(rows)
     _check_rows(n, adj)

@@ -19,7 +19,7 @@ class Kind(str, Enum):
     PRIME = "prime"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModularDecomposition:
     """Top-level modular decomposition of a graph.
 
@@ -33,6 +33,10 @@ class ModularDecomposition:
     skeleton: Graph | None = None
     intervals: tuple[tuple[int, Graph], ...] | None = None
     parts: tuple[Graph, ...] | None = None
+
+
+# the one graph of every singleton interval
+SINGLETON = Graph(1, (0,))
 
 
 def _closure(g: Graph, mask: int) -> int:
@@ -127,20 +131,20 @@ def decompose(g: Graph) -> ModularDecomposition:
         raise ValueError("decomposition needs at least one vertex")
     if g.n <= 2:
         return ModularDecomposition(Kind.INDECOMPOSABLE)
-    comps = g.components()
-    if len(comps) > 1:
+    if not g.is_connected():
         return ModularDecomposition(
-            Kind.PARALLEL, parts=tuple(g.induced_subgraph(c) for c in comps)
+            Kind.PARALLEL, parts=tuple(g.induced_subgraph(c) for c in g.components())
         )
-    cocomps = g.complement().components()
-    if len(cocomps) > 1:
+    if not g.is_co_connected():
+        cocomps = g.complement().components()
         return ModularDecomposition(
             Kind.SERIES, parts=tuple(g.induced_subgraph(c) for c in cocomps)
         )
     part_masks = maximal_proper_module_masks(g)
     if len(part_masks) == g.n:
         return ModularDecomposition(Kind.INDECOMPOSABLE)
-    # The maximal proper modules partition V: checked rather than assumed.
+    # The maximal proper modules partition V, and each is a module: checked
+    # rather than assumed, once per vertex against its part's representative.
     covered = 0
     for m in part_masks:
         if m & covered:
@@ -148,22 +152,24 @@ def decompose(g: Graph) -> ModularDecomposition:
         covered |= m
     k = len(part_masks)
     reps = [(m & -m).bit_length() - 1 for m in part_masks]
-    rows = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            hit = g.adj[reps[i]] & part_masks[j]
-            if hit == part_masks[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            for u in _bits(part_masks[i]):
-                cross = g.adj[u] & part_masks[j]
-                if cross not in (0, part_masks[j]):
-                    raise RuntimeError("module boundary violated between quotient parts")
+    part_of = {r: i for i, r in enumerate(reps)}
+    rep_mask = sum(1 << r for r in reps)
+    rows = []
+    for m, r in zip(part_masks, reps):
+        seen = g.adj[r] & ~m
+        for u in _bits(m):
+            if g.adj[u] & ~m != seen:
+                raise RuntimeError("module boundary violated between quotient parts")
+        row = 0
+        for v in _bits(seen & rep_mask):
+            row |= 1 << part_of[v]
+        rows.append(row)
     skeleton = Graph(k, tuple(rows))
     if k < 4 or not is_indecomposable(skeleton):
         raise RuntimeError("prime quotient is not an indecomposable graph on >= 4 vertices")
     intervals = tuple(
-        (i, g.induced_subgraph(_bits(m))) for i, m in enumerate(part_masks)
+        (i, g.induced_subgraph(_bits(m)) if m & (m - 1) else SINGLETON)
+        for i, m in enumerate(part_masks)
     )
     return ModularDecomposition(Kind.PRIME, skeleton=skeleton, intervals=intervals)
 

@@ -13,19 +13,26 @@ decompositions and skeleton codes, the skeleton split, the deck's degree
 sequence, the size-2 survivor, canon's searches, the criticality test, and
 the code and deck of each candidate graph. Each is computed on first use and
 dropped with the table, so no question repeats within a deck and no deck is
-built twice. The public steps take the deck and look its table up once;
-every private step takes the table itself, with the deck at cards.deck.
+built twice. The one exception is a card on at most MEMO_ORDER_LIMIT (8)
+vertices: its decode, decomposition and skeleton depend on its code alone,
+so every deck reads them from one process-wide memo of the MEMO_SIZE (2048)
+most recently used codes, beside canon's memo of small codes, and a card
+that recurs across decks is decoded and decomposed once per process. The
+public steps take the deck and look its table up once; every private step
+takes the table itself, with the deck at cards.deck.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator
 
 from .canon import (
+    MEMO_ORDER_LIMIT,
+    MEMO_SIZE,
     _symmetry,
     canonical_form,
     orbit_index,
@@ -33,6 +40,7 @@ from .canon import (
 from .deck import Deck, DeckIntegrityError, _edge_count, make_deck
 from .graphs import Graph, disjoint_union, empty_graph, from_graph6
 from .modular import (
+    SINGLETON,
     Kind,
     ModularDecomposition,
     _skeleton_of,
@@ -42,7 +50,6 @@ from .modular import (
     is_indecomposable,
 )
 
-SINGLETON = empty_graph(1)
 K2_CODE = canonical_form(Graph(2, (2, 1)))
 K2BAR_CODE = canonical_form(empty_graph(2))
 
@@ -56,7 +63,7 @@ class UnsupportedCase(Exception):
     """A case the theory leaves open; the message is the reason."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReconstructionResult:
     """Either a reconstructed graph with provenance, or an open/ambiguous outcome."""
 
@@ -74,9 +81,28 @@ class ReconstructionResult:
 # -- the card table: one memo of every answer about a deck ---------------------
 
 
-class _Card(NamedTuple):
-    dec: ModularDecomposition
-    skeleton: Graph
+class _Card:
+    """One card: its graph, and its decomposition and skeleton once asked
+    for, which the degenerate branch never does. A skeleton is coded only
+    where it is compared, on the compared order."""
+
+    __slots__ = ("graph", "_dec", "_skeleton")
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        self._dec: ModularDecomposition | None = None
+
+    @property
+    def dec(self) -> ModularDecomposition:
+        if self._dec is None:
+            self._dec = decompose(self.graph)
+            self._skeleton = _skeleton_of(self.graph, self._dec)
+        return self._dec
+
+    @property
+    def skeleton(self) -> Graph:
+        self.dec  # read with the decomposition
+        return self._skeleton
 
 
 class _CardTable:
@@ -85,14 +111,20 @@ class _CardTable:
     ask(fn, *args) computes fn(*args) on first use and keeps it for the
     deck: decodes, canon's searches, criticality and the decks of candidate
     graphs alike. know(fact, *args) does the same for a fact about the deck,
-    fact(table, *args): a card's decomposition, the split, the size-2 survivor.
-    Both key on (fn, *args), so no key holds the deck or the table: no
-    question hashes the deck and no table is a reference cycle.
+    fact(table, *args): the split, the size-2 survivor. Both key on
+    (fn, *args), so no key holds the deck or the table: no question hashes
+    the deck and no table is a reference cycle.
+
+    The cards themselves are the exception when they have at most
+    MEMO_ORDER_LIMIT vertices: card(code) then reads the process-wide memo
+    _small_card, keyed on the code alone and shared by every deck. Larger
+    cards seldom recur across decks and are read once per table.
     """
 
     def __init__(self, d: Deck) -> None:
         self.deck = d
         self._answers: dict[tuple, Any] = {}
+        self._shared = d.n - 1 <= MEMO_ORDER_LIMIT
 
     def ask(self, fn: Callable[..., Any], *args: Any) -> Any:
         key = (fn, *args)
@@ -108,11 +140,17 @@ class _CardTable:
             answer = self._answers[key] = fact(self, *args)
         return answer
 
-    def graphs(self) -> list[Graph]:
-        return [self.ask(from_graph6, code) for code in self.deck.cards]
-
     def card(self, code: str) -> _Card:
-        return self.know(_card, code)
+        return _small_card(code) if self._shared else self.ask(_read_card, code)
+
+    def decode(self, code: str) -> Graph:
+        """The graph of a code: a card's through card, any other once per table."""
+        if code in self.deck.cards:
+            return self.card(code).graph
+        return self.ask(from_graph6, code)
+
+    def graphs(self) -> list[Graph]:
+        return [self.card(code).graph for code in self.deck.cards]
 
     def split(self, k: Graph) -> tuple[list[str], list[str]]:
         """Cards whose skeleton matches k, and the rest, in deck order; shared, never changed."""
@@ -125,12 +163,13 @@ class _CardTable:
         return dec
 
 
-def _card(cards: _CardTable, code: str) -> _Card:
-    """A card's decomposition and skeleton; the degenerate branch asks neither.
-    A skeleton is coded only where it is compared, on the compared order."""
-    g = cards.ask(from_graph6, code)
-    dec = decompose(g)
-    return _Card(dec, _skeleton_of(g, dec))
+def _read_card(code: str) -> _Card:
+    return _Card(from_graph6(code))
+
+
+# a code fixes the labelled graph, and with it the decomposition, so the
+# cards on at most MEMO_ORDER_LIMIT vertices are read once for every deck
+_small_card = lru_cache(maxsize=MEMO_SIZE)(_read_card)
 
 
 def _split(cards: _CardTable, k: Graph) -> tuple[list[str], list[str]]:
@@ -189,7 +228,7 @@ def skeleton_from_deck(d: Deck) -> Graph:
     top_codes = {cards.ask(canonical_form, k) for k in skeletons if k.n == top_n}
     if len(top_codes) > 1:
         raise DeckIntegrityError("largest card skeletons disagree")
-    return cards.ask(from_graph6, top_codes.pop())
+    return cards.decode(top_codes.pop())
 
 
 def singleton_count(d: Deck, k: Graph) -> int:
@@ -217,7 +256,7 @@ def _largest_first(
     Returns the recovered (tag, part) pairs sorted by (tag, code); codes are
     decoded through the card table.
     """
-    decode = partial(cards.ask, from_graph6)
+    decode = cards.decode
     recovered: Counter[tuple[int, str]] = Counter()
     while pool:
         key = max(pool, key=lambda item: (decode(item[1]).n, item))
@@ -363,12 +402,12 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     if len(cards.split(k)[0]) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
     icode, positions = cards.know(_pair_splices, k)
-    return cards.ask(from_graph6, icode), positions
+    return cards.decode(icode), positions
 
 
 def _pair_splices(cards: _CardTable, k: Graph) -> tuple[str, tuple[int, ...]]:
     splices = (
-        ((icode, orb), _inflate_at(k, orb[0], cards.ask(from_graph6, icode)))
+        ((icode, orb), _inflate_at(k, orb[0], cards.decode(icode)))
         for orb in cards.ask(_symmetry, k)[1]
         for icode in (K2_CODE, K2BAR_CODE)
     )

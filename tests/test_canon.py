@@ -32,7 +32,7 @@ from deckrecon.oracle import _build_catalog, catalog_graphs, enumerate_graphs
 from deckrecon.graphs import _triangle_bits, bits_to_graph6, from_graph6
 from deckrecon.modular import Kind, decompose
 from deckrecon.deck import make_deck
-from deckrecon.reconstruct import reconstruct
+from deckrecon.reconstruct import _small_card, reconstruct
 
 from test_graphs import random_graph
 
@@ -574,6 +574,7 @@ def test_reconstruct_is_the_same_with_a_cold_and_a_warm_memo():
     cold = []
     for d in decks:
         _small_code.cache_clear()
+        _small_card.cache_clear()
         cold.append(_outcome(reconstruct(d)))
     warm = [_outcome(reconstruct(d)) for d in decks]
     assert cold == warm

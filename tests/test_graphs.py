@@ -13,6 +13,7 @@ from deckrecon import (
     from_graph6,
     path_graph,
 )
+from deckrecon.graphs import GRAPH6_HEADER, MAX_VERTICES, _check_char, _check_rows, _derived
 
 
 def random_graph(n, rng, p=0.5):
@@ -121,6 +122,83 @@ def test_graph6_long_form_length():
     assert code.startswith("~") and from_graph6(code) == g
     g64 = complete_graph(64)
     assert from_graph6(g64.to_graph6()) == g64
+
+
+def bitlist_from_graph6(text):
+    """The decoder that unpacks the body into a list of bits and visits every
+    vertex pair: the reference for `from_graph6`."""
+    if text.startswith(GRAPH6_HEADER):
+        text = text[len(GRAPH6_HEADER) :]
+    if not text:
+        raise Graph6Error("empty graph6 string")
+    if text[0] == "~":
+        if len(text) >= 2 and text[1] == "~":
+            raise Graph6Error("8-byte length form implies more than 64 vertices")
+        if len(text) < 4:
+            raise Graph6Error("truncated long-form length field")
+        n = 0
+        for ch in text[1:4]:
+            n = n << 6 | _check_char(ch)
+        body = text[4:]
+    else:
+        n = _check_char(text[0])
+        body = text[1:]
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"{n} vertices exceeds the 64-vertex limit")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) < need:
+        raise Graph6Error("graph6 body shorter than the triangle requires")
+    if len(body) > need:
+        raise Graph6Error("trailing bytes after graph6 body")
+    bits = []
+    for ch in body:
+        value = _check_char(ch)
+        bits.extend(value >> s & 1 for s in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise Graph6Error("nonzero padding bits")
+    rows = [0] * n
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            idx += 1
+    adj = tuple(rows)
+    _check_rows(n, adj)
+    return _derived(n, adj)
+
+
+def _decoded(decode, text):
+    try:
+        g = decode(text)
+    except Graph6Error as exc:
+        return "error", str(exc)
+    return g.n, g.adj
+
+
+def test_graph6_decoder_matches_the_bit_list_reference():
+    # seeded graphs on 0-64 vertices, in the short form (up to 62) and the
+    # long form (any order), then single-character damage to each code:
+    # equal graphs, or the same error
+    rng = random.Random(23)
+    for n in range(MAX_VERTICES + 1):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = random_graph(n, rng, p)
+            short = g.to_graph6()
+            body = short[1:] if n <= 62 else short[4:]
+            long = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) + body
+            for code in {short, long, GRAPH6_HEADER + short}:
+                assert from_graph6(code) == bitlist_from_graph6(code) == g, code
+                i = rng.randrange(len(code))
+                for damaged in (
+                    code[:i] + chr(rng.randrange(32, 130)) + code[i + 1 :],
+                    code[:i],
+                    code + chr(rng.randrange(32, 130)),
+                ):
+                    want = _decoded(bitlist_from_graph6, damaged)
+                    assert _decoded(from_graph6, damaged) == want, damaged
 
 
 def test_graph6_errors():

@@ -22,7 +22,14 @@ from deckrecon import (
     skeleton,
 )
 from deckrecon.graphs import from_graph6
-from deckrecon.modular import _closure, indecomposable_masks, is_module, maximal_proper_module_masks
+from deckrecon.modular import (
+    ModularDecomposition,
+    _bits,
+    _closure,
+    indecomposable_masks,
+    is_module,
+    maximal_proper_module_masks,
+)
 from deckrecon.oracle import enumerate_graphs
 
 from test_graphs import random_graph
@@ -234,6 +241,93 @@ def test_maximal_modules_partition_prime_graphs():
             assert not seen & m
             seen |= m
         assert seen == (1 << g.n) - 1
+
+
+def pairwise_decompose(g):
+    """The decomposition with component lists up front and the module check
+    per part pair and per vertex: the reference for `decompose`."""
+    if g.n <= 2:
+        return ModularDecomposition(Kind.INDECOMPOSABLE)
+    comps = g.components()
+    if len(comps) > 1:
+        return ModularDecomposition(
+            Kind.PARALLEL, parts=tuple(g.induced_subgraph(c) for c in comps)
+        )
+    cocomps = g.complement().components()
+    if len(cocomps) > 1:
+        return ModularDecomposition(
+            Kind.SERIES, parts=tuple(g.induced_subgraph(c) for c in cocomps)
+        )
+    part_masks = modular.maximal_proper_module_masks(g)
+    if len(part_masks) == g.n:
+        return ModularDecomposition(Kind.INDECOMPOSABLE)
+    k = len(part_masks)
+    reps = [(m & -m).bit_length() - 1 for m in part_masks]
+    rows = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if g.adj[reps[i]] & part_masks[j] == part_masks[j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            for u in _bits(part_masks[i]):
+                cross = g.adj[u] & part_masks[j]
+                if cross not in (0, part_masks[j]):
+                    raise RuntimeError("module boundary violated between quotient parts")
+    intervals = tuple((i, g.induced_subgraph(_bits(m))) for i, m in enumerate(part_masks))
+    return ModularDecomposition(Kind.PRIME, skeleton=Graph(k, tuple(rows)), intervals=intervals)
+
+
+def _rows(dec):
+    skeleton = dec.skeleton and (dec.skeleton.n, dec.skeleton.adj)
+    parts = dec.parts and [(p.n, p.adj) for p in dec.parts]
+    intervals = dec.intervals and [(i, p.n, p.adj) for i, p in dec.intervals]
+    return dec.kind, skeleton, parts, intervals
+
+
+def test_decompose_matches_the_pairwise_check():
+    # kind, skeleton rows, parts and interval rows, in order: every catalog
+    # graph up to 7 vertices, then seeded inflations and unions at 12-20
+    for n in range(1, 8):
+        for code in enumerate_graphs(n):
+            g = from_graph6(code)
+            assert _rows(decompose(g)) == _rows(pairwise_decompose(g)), code
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randrange(12, 21)
+        k = rng.randrange(4, 9)
+        host = rng.choice([path_graph(k), cycle_graph(max(k, 5)), random_graph(k, rng)])
+        sizes = [1] * host.n
+        for _ in range(n - host.n):
+            sizes[rng.randrange(host.n)] += 1
+        g = inflate(host, [random_graph(s, rng, rng.random()) for s in sizes])
+        g = g.relabel(rng.sample(range(g.n), g.n))
+        others = (g.complement(), disjoint_union([g.delete_vertex(0), path_graph(2)]))
+        for h in (g, *others, random_graph(n, rng)):
+            dec = decompose(h)
+            kinds.add(dec.kind)
+            assert _rows(dec) == _rows(pairwise_decompose(h)), h.to_graph6()
+    assert kinds == set(Kind)
+
+
+def test_decompose_rejects_a_part_that_is_no_module(monkeypatch, p4):
+    # P4 split as {0, 1}, {2}, {3}, in two orders: 2 sees 1 but not 0. The
+    # pairwise check tests a part only against vertices of earlier parts, so
+    # it misses the first order; the check against each part's
+    # representative catches both
+    for masks in ([0b0011, 0b0100, 0b1000], [0b0100, 0b0011, 0b1000]):
+        monkeypatch.setattr(modular, "maximal_proper_module_masks", lambda g: masks)
+        with pytest.raises(RuntimeError, match="module boundary violated"):
+            decompose(p4)
+    with pytest.raises(RuntimeError, match="module boundary violated"):
+        pairwise_decompose(p4)
+
+
+def test_singleton_intervals_share_one_graph():
+    g = inflate(cycle_graph(5), [complete_graph(2)] + [empty_graph(1)] * 4)
+    singles = [p for _, p in decompose(g).intervals if p.n == 1]
+    assert len(singles) == 4 and all(p is modular.SINGLETON for p in singles)
+    assert modular.SINGLETON == empty_graph(1)
 
 
 def _check_modules(g, indecomposable, maximal):

@@ -405,6 +405,7 @@ def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
     for g, provenance in branch_examples(c5, bull) + [p4_k1]:
         d = make_deck(g)
         rc._cards.cache_clear()
+        rc._small_card.cache_clear()
         for calls in (decomposed, decoded, built):
             calls.clear()
         assert_reconstructs(g, provenance)
@@ -622,6 +623,7 @@ def test_card_skeletons_are_coded_only_on_the_compared_order(monkeypatch):
     compared = lower = 0
     for d in decomposable_decks_up_to_seven_vertices():
         rc._cards.cache_clear()
+        rc._small_card.cache_clear()
         skeletons.clear()
         coded.clear()
         reconstruct(d)
@@ -631,6 +633,40 @@ def test_card_skeletons_are_coded_only_on_the_compared_order(monkeypatch):
         lower += any(k.n < top for k in skeletons.values())
     # the 448 decks that compare skeletons each hold one on a smaller order
     assert compared == lower == 448
+
+
+def test_small_cards_are_read_once_per_process(monkeypatch):
+    # after one pass over the decomposable decks on 4-7 vertices, no card is
+    # decomposed again; a reverse pass from a cold memo gives the same
+    # results, and the memo keeps within its bound
+    decks = list(decomposable_decks_up_to_seven_vertices())
+    rc._small_card.cache_clear()
+    forward = [reconstruct(d) for d in decks]
+    cards_decomposed = []
+
+    def recording(g):
+        cards_decomposed.append(g.to_graph6())
+        return decompose(g)
+
+    monkeypatch.setattr(rc, "decompose", recording)
+    for d, first in zip(decks, forward):
+        cards_decomposed.clear()
+        assert reconstruct(d) == first
+        assert not set(cards_decomposed) & set(d.cards), d
+    rc._small_card.cache_clear()
+    assert [reconstruct(d) for d in reversed(decks)] == forward[::-1]
+    info = rc._small_card.cache_info()
+    assert info.maxsize == rc.MEMO_SIZE
+    assert 0 < info.currsize <= rc.MEMO_SIZE
+
+
+def test_decks_past_the_memo_order_leave_the_card_memo_untouched():
+    # a 13-vertex deck of test_reconstruct_past_twelve_vertices: its
+    # 12-vertex cards are read once per deck, not through the shared memo
+    g = inflate(path_graph(13), [K2, K1, K2] + [K1] * 10)
+    before = rc._small_card.cache_info()
+    assert reconstruct(make_deck(g)).reason == "hereditary orbits"
+    assert rc._small_card.cache_info() == before
 
 
 def paley_graph(q: int) -> Graph:
