@@ -26,7 +26,6 @@ from .graphs import (
     empty_graph,
     from_graph6,
     path_graph,
-    to_graph6,
 )
 from .modular import (
     CapabilityError,

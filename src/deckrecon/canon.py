@@ -18,13 +18,9 @@ returns the canonical order and the orbit partition of that one search,
 and `canonical_labeling` and `automorphism_orbits` are its projections.
 
 Exact up to the 64-vertex graph cap. On the empty graph the twin swaps
-leave one path of n nodes; relabelled, it takes 0.01-0.02 s at 64
-vertices (its deck 0.02-0.04 s), a perfect matching on 64 vertices
-0.05-0.09 s and twelve disjoint C5s 0.03-0.06 s (2-core Xeon, Python
-3.11). The worst case stays exponential where
+leave one path of n nodes. The worst case stays exponential where
 refinement splits nothing and no automorphism prunes, as on rigid strongly
-regular graphs: a rigid Latin square graph takes 0.54-0.91 s at 49 vertices
-and 0.86-1.12 s at 64.
+regular graphs; README's "Size limits" gives measured times.
 
 Two process-wide memos serve small graphs, because reconstruction asks
 about the same cards again and again, within a deck and across decks. Both
@@ -231,8 +227,6 @@ def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
 
 
 def canonical_code(n: int, adj: tuple[int, ...]) -> str:
-    if n <= 1:
-        return bits_to_graph6(n, [])
     _, bits, _ = _search(n, adj, [list(range(n))])
     return bits_to_graph6(n, bits)
 
@@ -253,8 +247,6 @@ def _symmetry(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """(canonical order, orbits) from one search: order[pos] is the vertex at
     canonical position pos; the orbits are those of the full automorphism
     group, each sorted, listed by smallest vertex."""
-    if g.n <= 1:
-        return tuple(range(g.n)), [tuple(range(g.n))] if g.n else []
     order, _, auts = _search(g.n, g.adj, [list(range(g.n))])
     parent = list(range(g.n))
     for a in auts:

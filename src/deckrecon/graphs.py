@@ -109,48 +109,39 @@ class Graph:
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         return self.induced_subgraph(u for u in range(self.n) if u != v)
 
-    def components(self) -> list[list[int]]:
-        """Connected components as vertex lists, ordered by smallest contained vertex."""
-        seen = 0
+    def components(self, flip: int = 0) -> list[list[int]]:
+        """Connected components as vertex lists, ordered by smallest contained
+        vertex; with flip the full vertex mask, those of the complement."""
         out: list[list[int]] = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                grow = 0
-                for v in _bits(frontier):
-                    grow |= self.adj[v]
-                frontier = grow & ~comp
-                comp |= grow
-            seen |= comp
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = self._reach((rest & -rest).bit_length() - 1, flip)
+            rest &= ~comp
             out.append(list(_bits(comp)))
         return out
 
     def is_connected(self) -> bool:
-        return self._spanned(0)
+        return not self.n or self._reach(0, 0) == (1 << self.n) - 1
 
     def is_co_connected(self) -> bool:
         """Whether the complement is connected, without building it."""
-        return self._spanned((1 << self.n) - 1)
+        full = (1 << self.n) - 1
+        return not self.n or self._reach(0, full) == full
 
-    def _spanned(self, flip: int) -> bool:
-        """Whether one search from vertex 0 along the rows xor flip reaches
-        every vertex; a row's own bit that flip sets is already reached."""
-        if self.n <= 1:
-            return True
-        reached = frontier = 1
+    def _reach(self, v: int, flip: int) -> int:
+        """The mask of vertices one search from v reaches along the rows xor
+        flip; a row's own bit that flip sets is already reached."""
+        reached = frontier = 1 << v
         while frontier:
             grow = 0
-            for v in _bits(frontier):
-                grow |= self.adj[v] ^ flip
+            for u in _bits(frontier):
+                grow |= self.adj[u] ^ flip
             frontier = grow & ~reached
             reached |= frontier
-        return reached == (1 << self.n) - 1
+        return reached
 
     def to_graph6(self) -> str:
-        return to_graph6(self)
+        return bits_to_graph6(self.n, _triangle_bits(self.adj, range(self.n)))
 
 
 def _derived(n: int, adj: tuple[int, ...]) -> Graph:
@@ -225,10 +216,6 @@ def bits_to_graph6(n: int, bits: Sequence[int]) -> str:
         value <<= 6 - len(chunk)
         out.append(chr(value + 63))
     return "".join(out)
-
-
-def to_graph6(g: Graph) -> str:
-    return bits_to_graph6(g.n, _triangle_bits(g.adj, range(g.n)))
 
 
 def _check_char(ch: str) -> int:

@@ -136,7 +136,7 @@ def decompose(g: Graph) -> ModularDecomposition:
             Kind.PARALLEL, parts=tuple(g.induced_subgraph(c) for c in g.components())
         )
     if not g.is_co_connected():
-        cocomps = g.complement().components()
+        cocomps = g.components((1 << g.n) - 1)
         return ModularDecomposition(
             Kind.SERIES, parts=tuple(g.induced_subgraph(c) for c in cocomps)
         )
@@ -180,9 +180,6 @@ def inflate(k: Graph, parts: list[Graph] | tuple[Graph, ...]) -> Graph:
         raise ValueError("need one part per skeleton vertex")
     if any(p.n == 0 for p in parts):
         raise ValueError("empty inflation part")
-    total = sum(p.n for p in parts)
-    if total > 64:
-        raise ValueError("inflation exceeds 64 vertices")
     blocks, offset = [], 0
     for p in parts:
         blocks.append(((1 << p.n) - 1) << offset)
@@ -195,7 +192,7 @@ def inflate(k: Graph, parts: list[Graph] | tuple[Graph, ...]) -> Graph:
             outside |= blocks[j]
         base = len(rows)
         rows.extend(row << base | outside for row in p.adj)
-    return Graph(total, tuple(rows))
+    return Graph(len(rows), tuple(rows))
 
 
 def skeleton(g: Graph) -> Graph:
@@ -223,8 +220,6 @@ def critically_indecomposable(n: int, complemented: bool = False) -> Graph:
     """
     if n < 4 or n % 2:
         raise ValueError("half-graphs exist for even n >= 4 only")
-    if n > 64:
-        raise ValueError("half-graph exceeds 64 vertices")
     m = n // 2
     edges = [(i, m + j) for i in range(m) for j in range(i + 1)]
     g = Graph.from_edges(n, edges)

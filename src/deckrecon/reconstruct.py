@@ -37,7 +37,7 @@ from .canon import (
     canonical_form,
     orbit_index,
 )
-from .deck import Deck, DeckIntegrityError, _edge_count, make_deck
+from .deck import Deck, DeckIntegrityError, _afresh, _edge_count, _orbit_cards, make_deck
 from .graphs import Graph, disjoint_union, empty_graph, from_graph6
 from .modular import (
     SINGLETON,
@@ -418,23 +418,26 @@ def _pair_splices(cards: _CardTable, k: Graph) -> tuple[str, tuple[int, ...]]:
 # -- family predicates ---------------------------------------------------------
 
 
-def _lifting_vertices(g: Graph, ask: Callable = lambda search, h: search(h)) -> list[int]:
+def _lifting_vertices(g: Graph, ask: Callable[..., Any] = _afresh) -> list[int]:
     """Vertices w such that no vertex outside w's orbit has w's card, and the
-    orbits of w's card lift back to orbits of g; ask(search, h) runs each
-    code and symmetry search, by default afresh."""
-    oix = orbit_index(ask(_symmetry, g)[1])
-    cards = [ask(canonical_form, g.delete_vertex(v)) for v in range(g.n)]
-    out = []
-    for w in range(g.n):
-        if any(cards[x] == cards[w] and oix[x] != oix[w] for x in range(g.n)):
+    orbits of w's card lift back to orbits of g. Both hold for a whole orbit
+    or for none of it, so each orbit is tested at its smallest vertex;
+    ask(fn, *args) runs each code and symmetry search."""
+    orbit_cards = _orbit_cards(g, ask)
+    oix = orbit_index([orbit for orbit, _ in orbit_cards])
+    repeats = Counter(code for _, code in orbit_cards)
+    out: list[int] = []
+    for orbit, code in orbit_cards:
+        if repeats[code] > 1:
             continue
+        w = orbit[0]
         back = [x for x in range(g.n) if x != w]
         if all(
             len({oix[back[i]] for i in orb}) == 1
             for orb in ask(_symmetry, g.delete_vertex(w))[1]
         ):
-            out.append(w)
-    return out
+            out += orbit
+    return sorted(out)
 
 
 def in_family_G(g: Graph) -> bool:
@@ -577,7 +580,7 @@ def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     if not any(c.dec.kind is Kind.PRIME and c.skeleton.n == k.n - 1 for c in order1):
         provenance = "size-two interval at unique position"
     else:
-        # the per-vertex test decides family G (every vertex passes) and the
+        # the lifting test decides family G (every vertex passes) and the
         # relaxed condition (some passing vertex deletion stays indecomposable)
         lifting = _lifting_vertices(k, cards.ask)
         if len(lifting) == k.n:

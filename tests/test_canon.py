@@ -26,6 +26,7 @@ from deckrecon.canon import (
     _refine,
     _search,
     _small_code,
+    _symmetry,
     canonical_code,
 )
 from deckrecon.oracle import _build_catalog, catalog_graphs, enumerate_graphs
@@ -509,8 +510,12 @@ def test_induced_subgraph_search():
 
 
 def test_disconnected_and_edge_cases():
-    assert canonical_form(empty_graph(0)) == "?"
-    assert canonical_form(empty_graph(1)) == "@"
+    # 0 and 1 vertices go through the one search, with no case of their own
+    assert canonical_form(empty_graph(0)) == canonical_code(0, ()) == "?"
+    assert canonical_form(empty_graph(1)) == canonical_code(1, (0,)) == "@"
+    assert _symmetry(empty_graph(0)) == ((), [])
+    assert _symmetry(empty_graph(1)) == ((0,), [(0,)])
+    assert canonical_labeling(empty_graph(1)) == (0,)
     g = disjoint_union([complete_graph(3), path_graph(3)])
     perm = [5, 3, 1, 4, 2, 0]
     assert canonical_form(g) == canonical_form(g.relabel(perm))

@@ -21,6 +21,8 @@ from deckrecon import (
     path_graph,
     reconstruct,
 )
+from deckrecon.graphs import from_graph6
+from deckrecon.oracle import enumerate_graphs
 
 from test_canon import circulant, matching, relabelled
 from test_graphs import random_graph
@@ -64,6 +66,12 @@ def test_deck_equal_and_cards():
     assert d1 != make_deck(path_graph(4))
 
 
+def test_decks_of_one_vertex_and_none():
+    assert make_deck(empty_graph(1)) == Deck(1, ("?",))
+    with pytest.raises(ValueError):
+        make_deck(empty_graph(0))
+
+
 def per_vertex_cards(g):
     """The deck's cards by one search per vertex: the oracle for make_deck's
     route of one search per orbit."""
@@ -80,6 +88,11 @@ def test_orbit_route_deck_matches_the_per_vertex_deck():
     graphs += [inflate(cycle_graph(5), [rng.choice(parts) for _ in range(5)]) for _ in range(4)]
     graphs += [inflate(path_graph(4), [rng.choice(parts) for _ in range(4)]) for _ in range(4)]
     graphs += [random_graph(n, rng) for n in range(9, 25)]
+    # every catalog graph on 1-7 vertices, and symmetric graphs on 9-16
+    graphs += [from_graph6(code) for n in range(1, 8) for code in enumerate_graphs(n)]
+    for n in range(9, 17):
+        graphs += [empty_graph(n), matching(n), circulant(n, rng.sample(range(1, n // 2 + 1), 2))]
+        graphs.append(disjoint_union([cycle_graph(5)] * (n // 5) + [empty_graph(n % 5)]))
     for g in graphs:
         for _ in range(2):
             h = relabelled(g, rng)

@@ -82,12 +82,36 @@ def test_components_and_connectivity():
     assert cycle_graph(4).is_connected()
     assert empty_graph(0).is_connected()
     assert empty_graph(1).is_connected()
-    # one search each, against the component lists of the graph and its complement
+    # one search each, against the breadth-first oracle on the graph and its complement
     rng = random.Random(3)
-    for _ in range(200):
-        h = random_graph(rng.randrange(0, 9), rng, rng.random())
-        assert h.is_connected() == (len(h.components()) <= 1)
-        assert h.is_co_connected() == (len(h.complement().components()) <= 1)
+    for _ in range(300):
+        h = random_graph(rng.randrange(0, 20), rng, rng.random())
+        comps, cocomps = bfs_components(h), bfs_components(h.complement())
+        assert h.components() == comps
+        assert h.components((1 << h.n) - 1) == cocomps
+        assert h.is_connected() == (len(comps) <= 1)
+        assert h.is_co_connected() == (len(cocomps) <= 1)
+
+
+def bfs_components(g):
+    """Connected components by one breadth-first search per component: the
+    oracle for the one reachability search behind components."""
+    seen = 0
+    out = []
+    for start in range(g.n):
+        if seen >> start & 1:
+            continue
+        comp = frontier = 1 << start
+        while frontier:
+            grow = 0
+            for v in range(g.n):
+                if frontier >> v & 1:
+                    grow |= g.adj[v]
+            frontier = grow & ~comp
+            comp |= grow
+        seen |= comp
+        out.append([v for v in range(g.n) if comp >> v & 1])
+    return out
 
 
 # -- graph6 --------------------------------------------------------------------

@@ -218,6 +218,11 @@ def test_inflate_validates():
         inflate(path_graph(3), [empty_graph(1)] * 2)
     with pytest.raises(ValueError):
         inflate(path_graph(2), [empty_graph(0), empty_graph(1)])
+    # the Graph it builds enforces the 64-vertex cap
+    assert inflate(path_graph(2), [empty_graph(32)] * 2).n == 64
+    for n in (65, 66):
+        with pytest.raises(ValueError):
+            inflate(path_graph(2), [empty_graph(n - 32), empty_graph(32)])
 
 
 def test_skeleton_values(p4, c5):
@@ -438,6 +443,11 @@ def test_half_graphs():
         critically_indecomposable(5)
     with pytest.raises(ValueError):
         critically_indecomposable(2)
+    # the Graph it builds enforces the 64-vertex cap
+    assert critically_indecomposable(64).n == 64
+    for n in (65, 66):
+        with pytest.raises(ValueError):
+            critically_indecomposable(n)
 
 
 def test_critically_indecomposable_predicate(p4, c5, bull):

@@ -38,6 +38,7 @@ from deckrecon.graphs import from_graph6
 from deckrecon.modular import Kind
 from deckrecon.oracle import _open_case, enumerate_graphs
 
+from test_canon import circulant, matching, relabelled
 from test_graphs import random_graph
 
 # the package re-exports a function under the module's name
@@ -300,6 +301,39 @@ def test_family_G_implies_relaxed():
                 continue
             if in_family_G(g):
                 assert relaxed_skeleton_condition(g), code
+
+
+def per_vertex_lifting(g):
+    """The lifting vertices by one card code and one lift test per vertex:
+    the oracle for the test of one vertex per orbit."""
+    oix = orbit_index(automorphism_orbits(g))
+    cards = [canonical_form(g.delete_vertex(v)) for v in range(g.n)]
+    out = []
+    for w in range(g.n):
+        if any(cards[x] == cards[w] and oix[x] != oix[w] for x in range(g.n)):
+            continue
+        back = [x for x in range(g.n) if x != w]
+        if all(
+            len({oix[back[i]] for i in orb}) == 1
+            for orb in automorphism_orbits(g.delete_vertex(w))
+        ):
+            out.append(w)
+    return out
+
+
+def test_lifting_per_orbit_matches_the_per_vertex_test():
+    # every catalog graph on 1-7 vertices, relabelled, and seeded symmetric
+    # graphs on 9-16 vertices, some with a vertex inflated to break the symmetry
+    rng = random.Random(26)
+    graphs = [from_graph6(code) for n in range(1, 8) for code in enumerate_graphs(n)]
+    for n in range(9, 17):
+        c = circulant(n, rng.sample(range(1, n // 2 + 1), 2))
+        c5s = disjoint_union([cycle_graph(5)] * (n // 5) + [empty_graph(n % 5)])
+        graphs += [empty_graph(n), matching(n), c5s, c]
+        graphs.append(inflate(c.delete_vertex(0), [K2] + [K1] * (n - 2)))
+    for g in graphs:
+        h = relabelled(g, rng)
+        assert rc._lifting_vertices(h) == per_vertex_lifting(h), g.to_graph6()
 
 
 # -- degenerate graphs -----------------------------------------------------------
