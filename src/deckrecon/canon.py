@@ -22,16 +22,13 @@ leave one path of n nodes. The worst case stays exponential where
 refinement splits nothing and no automorphism prunes, as on rigid strongly
 regular graphs; README's "Size limits" gives measured times.
 
-Two process-wide memos serve small graphs, because reconstruction asks
-about the same cards again and again, within a deck and across decks. Both
-cover graphs on at most `MEMO_ORDER_LIMIT` (8) vertices and keep the
-`MEMO_SIZE` (2048) most recently used entries; both constants are fixed.
-`canonical_form` memoises the code string, keyed on the adjacency rows,
-about 0.7 MB when full. `reconstruct` memoises each card of a deck of such
-cards, keyed on its code: the decoded graph and, once asked for, its
-decomposition and skeleton (about 1,200 entries and 0.45 MB after one pass
-over the desk-sweep decks). `canonical_code`, which the catalog build calls
-on graphs that never repeat, and `_symmetry` always search afresh.
+Reconstruction asks about the same small graphs again and again, within a
+deck and across decks, so `canonical_form` memoises the code string of each
+graph on at most `MEMO_ORDER_LIMIT` (8) vertices, keyed on its adjacency
+rows, and keeps the `MEMO_SIZE` (2048) most recently used, about 0.7 MB
+when full; both constants are fixed. `canonical_code`, which the catalog
+build calls on graphs that never repeat, and `_symmetry` always search
+afresh.
 """
 
 from __future__ import annotations

@@ -51,6 +51,7 @@ from .modular import (
     skeleton,
 )
 from .reconstruct import (
+    _nonsingletons,
     _splice_condition,
     in_family_G,
     interval_single_large,
@@ -213,10 +214,6 @@ def _sweep(lo: int, cases, hi: int | None = None, over=_catalog):
     return lo, hi, claim
 
 
-def _nonsingletons(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
-    return [(pos, p) for pos, p in dec.intervals if p.n >= 2]
-
-
 def _on_prime(cases):
     """Restrict cases(g, dec, nons) to graphs with a prime quotient: dec is
     the decomposition and nons its (position, interval) pairs on 2+ vertices."""
@@ -320,9 +317,10 @@ def _thm_3_2(g: Graph, dec, nons):
     yield "", _holds(recovered)
 
 
-def _true_tagged_intervals(dec) -> Counter:
+def _orbit_tagged(dec) -> list[tuple[int, Graph]]:
+    """(skeleton orbit, interval) at every position of the true decomposition."""
     oix = orbit_index(automorphism_orbits(dec.skeleton))
-    return Counter((oix[pos], canonical_form(p)) for pos, p in _nonsingletons(dec))
+    return [(oix[pos], p) for pos, p in dec.intervals]
 
 
 @_on_prime
@@ -332,7 +330,9 @@ def _lem_3_4(g: Graph, dec, nons):
 
     def recovered():
         got = intervals_multi(make_deck(g), dec.skeleton)
-        return Counter((t, canonical_form(p)) for t, p in got) == _true_tagged_intervals(dec)
+        return Counter((t, canonical_form(p)) for t, p in got) == Counter(
+            (t, canonical_form(p)) for t, p in _orbit_tagged(dec) if p.n >= 2
+        )
 
     yield "", _holds(recovered)
 
@@ -362,8 +362,7 @@ def _lem_3_6(g: Graph, dec, nons):
 
 def _splice_condition_holds(dec) -> bool:
     """Theorem 4.1's hypothesis on the true decomposition's intervals."""
-    oix = orbit_index(automorphism_orbits(dec.skeleton))
-    return _splice_condition([(oix[pos], p) for pos, p in dec.intervals])
+    return _splice_condition(_orbit_tagged(dec))
 
 
 def _reconstructs(g: Graph) -> bool:

