@@ -35,8 +35,10 @@ class ModularDecomposition:
     parts: tuple[Graph, ...] | None = None
 
 
-# the one graph of every singleton interval
+# the one graph of every singleton interval; the series and parallel quotients
 SINGLETON = Graph(1, (0,))
+K2 = Graph(2, (2, 1))
+K2BAR = Graph(2, (0, 0))
 
 
 def _closure(g: Graph, mask: int) -> int:
@@ -204,9 +206,9 @@ def _skeleton_of(g: Graph, dec: ModularDecomposition) -> Graph:
     if dec.kind is Kind.INDECOMPOSABLE:
         return g
     if dec.kind is Kind.PARALLEL:
-        return Graph(2, (0, 0))
+        return K2BAR
     if dec.kind is Kind.SERIES:
-        return Graph(2, (2, 1))
+        return K2
     assert dec.skeleton is not None
     return dec.skeleton
 

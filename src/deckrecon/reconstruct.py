@@ -21,7 +21,8 @@ the MEMO_SIZE (2048) most recently used codes (about 1,200 entries and
 0.45 MB after one pass over the desk-sweep decks), and a card that recurs
 across decks is decoded and decomposed once per process. The public steps
 take the deck and look its table up once; every private step takes the
-table itself, with the deck at cards.deck.
+table itself, with the deck at cards.deck. Only card codes are decoded;
+any other code is only compared.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from .canon import (
     orbit_index,
 )
 from .deck import Deck, DeckIntegrityError, _afresh, _edge_count, _orbit_cards, make_deck
-from .graphs import Graph, disjoint_union, empty_graph, from_graph6
+from .graphs import Graph, disjoint_union, from_graph6
 from .modular import (
+    K2,
+    K2BAR,
     SINGLETON,
     Kind,
     ModularDecomposition,
@@ -51,9 +54,6 @@ from .modular import (
     is_critically_indecomposable,
     is_indecomposable,
 )
-
-K2 = Graph(2, (2, 1))
-K2BAR = empty_graph(2)
 
 NOT_DECOMPOSABLE = (
     "deck not recognised as that of a decomposable graph; "
@@ -111,14 +111,14 @@ class _CardTable:
     """What reconstruction reads off the cards of one deck, in one memo.
 
     ask(fn, *args) computes fn(*args) on first use and keeps it for the
-    deck: decodes, canon's searches, criticality and the decks of candidate
-    graphs alike. know(fact, *args) does the same for a fact about the deck,
+    deck: canon's searches, criticality and the decks of candidate graphs
+    alike. know(fact, *args) does the same for a fact about the deck,
     fact(table, *args): the split, the size-2 survivor. Both key on
     (fn, *args), so no key holds the deck or the table: no question hashes
     the deck and no table is a reference cycle.
 
-    The cards themselves are the exception when they have at most
-    MEMO_ORDER_LIMIT vertices: card(code) then reads the process-wide memo
+    card(code) is the one decode, and only of the deck's own cards. A card
+    on at most MEMO_ORDER_LIMIT vertices is read from the process-wide memo
     _small_card, keyed on the code alone and shared by every deck. Larger
     cards seldom recur across decks and are read once per table.
     """
@@ -144,12 +144,6 @@ class _CardTable:
 
     def card(self, code: str) -> _Card:
         return _small_card(code) if self._shared else self.ask(_read_card, code)
-
-    def decode(self, code: str) -> Graph:
-        """The graph of a code: a card's through card, any other once per table."""
-        if code in self.deck.cards:
-            return self.card(code).graph
-        return self.ask(from_graph6, code)
 
     def graphs(self) -> list[Graph]:
         return [self.card(code).graph for code in self.deck.cards]
@@ -232,17 +226,18 @@ def _nonsingletons(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
 
 
 def skeleton_from_deck(d: Deck) -> Graph:
-    """The unique largest card skeleton on >= 4 vertices."""
+    """The unique largest card skeleton on >= 4 vertices: the first in deck
+    order, labelled like its card's quotient (a pair deck's is the card)."""
     cards = _cards(d)
     # no card of a deck of fewer than five cards has four vertices
     skeletons = [cards.card(code).skeleton for code in dict.fromkeys(d.cards)] if d.n > 4 else []
     top_n = max((k.n for k in skeletons), default=0)
     if top_n < 4:
         raise DeckIntegrityError("no card has a skeleton on four or more vertices")
-    top_codes = {cards.ask(canonical_form, k) for k in skeletons if k.n == top_n}
-    if len(top_codes) > 1:
+    top = [k for k in skeletons if k.n == top_n]
+    if len({cards.ask(canonical_form, k) for k in top}) > 1:
         raise DeckIntegrityError("largest card skeletons disagree")
-    return cards.decode(top_codes.pop())
+    return top[0]
 
 
 def singleton_count(d: Deck, k: Graph) -> int:
@@ -255,26 +250,26 @@ def singleton_count(d: Deck, k: Graph) -> int:
 
 
 def _largest_first(
-    cards: _CardTable,
-    pool: Counter[tuple[int, str]],
+    items: list[tuple[tuple[int, str], Graph]],
     total: int,
-    keys_of: Callable[[int, Graph], list[tuple[int, str]]],
+    keys_of: Callable[[int, Graph], list[tuple[tuple[int, str], Graph]]],
     what: str,
 ) -> list[tuple[int, Graph]]:
-    """Kelly-style attribution of a pool of tagged graph codes.
+    """Kelly-style attribution of pooled ((tag, code), graph) items.
 
     A largest pooled part on p vertices of a total-vertex graph survives in
     exactly total - p cards, so its pooled count divided by total - p is its
-    multiplicity. Its one-vertex-deleted subgraphs, turned into pool keys by
+    multiplicity. Its one-vertex-deleted subgraphs, turned into items by
     keys_of(tag, subgraph), are subtracted, and the next largest is taken.
-    Returns the recovered (tag, part) pairs sorted by (tag, code); codes are
-    decoded through the card table.
+    Codes are only compared. Returns the recovered (tag, part) pairs sorted
+    by (tag, code), each part the first graph pooled under its key.
     """
-    decode = cards.decode
+    pool = Counter(key for key, _ in items)
+    kept = dict(reversed(items))  # the first graph pooled under each key
     recovered: Counter[tuple[int, str]] = Counter()
     while pool:
-        key = max(pool, key=lambda item: (decode(item[1]).n, item))
-        part = decode(key[1])
+        key = max(pool, key=lambda item: (kept[item].n, item))
+        part = kept[key]
         denom = total - part.n
         count = pool.pop(key)
         if denom <= 0 or count % denom:
@@ -282,13 +277,13 @@ def _largest_first(
         cnt = count // denom
         recovered[key] += cnt
         for v in range(part.n):
-            for sub_key in keys_of(key[0], part.delete_vertex(v)):
+            for sub_key, _ in keys_of(key[0], part.delete_vertex(v)):
                 pool[sub_key] -= cnt
                 if pool[sub_key] < 0:
                     raise DeckIntegrityError(f"{what} attribution failed")
                 if pool[sub_key] == 0:
                     del pool[sub_key]
-    return [(t, decode(code)) for (t, code), q in sorted(recovered.items()) for _ in range(q)]
+    return [(key[0], kept[key]) for key, q in sorted(recovered.items()) for _ in range(q)]
 
 
 # -- interval recovery: at least two non-singleton maximal intervals ----------
@@ -308,12 +303,9 @@ def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
     if m < 2:
         raise ValueError("needs at least two non-singleton maximal intervals")
     tagged = _orbit_tagger(cards, k)
-    pool: Counter[tuple[int, str]] = Counter()
-    for code in dk:
-        for t, part in tagged(cards.prime(code)):
-            if part.n >= 2:
-                pool[(t, canonical_form(part))] += 1
-    out = _largest_first(cards, pool, d.n - s, _interval_keys, "interval")
+    pooled = (tp for code in dk for tp in tagged(cards.prime(code)))
+    items = [item for t, part in pooled for item in _interval_keys(t, part)]
+    out = _largest_first(items, d.n - s, _interval_keys, "interval")
     if len(out) != m or sum(p.n for _, p in out) != d.n - s:
         raise DeckIntegrityError("recovered intervals do not account for the deck")
     return out
@@ -335,8 +327,8 @@ def _orbit_tagger(
     return tagged
 
 
-def _interval_keys(t: int, sub: Graph) -> list[tuple[int, str]]:
-    return [(t, canonical_form(sub))] if sub.n >= 2 else []
+def _interval_keys(t: int, sub: Graph) -> list[tuple[tuple[int, str], Graph]]:
+    return [((t, canonical_form(sub)), sub)] if sub.n >= 2 else []
 
 
 # -- interval recovery: a single non-singleton interval of size >= 3 ----------
@@ -465,13 +457,14 @@ def relaxed_skeleton_condition(k: Graph) -> bool:
 # -- degenerate graphs ---------------------------------------------------------
 
 
-def _component_keys(_: int, g: Graph) -> list[tuple[int, str]]:
-    return [(0, canonical_form(g.induced_subgraph(comp))) for comp in g.components()]
+def _component_keys(_: int, g: Graph) -> list[tuple[tuple[int, str], Graph]]:
+    parts = (g.induced_subgraph(comp) for comp in g.components())
+    return [((0, canonical_form(p)), p) for p in parts]
 
 
-def _rebuild_from_components(cards: _CardTable, n: int, graphs: list[Graph]) -> Graph:
-    pool = Counter(key for g in graphs for key in _component_keys(0, g))
-    parts = [p for _, p in _largest_first(cards, pool, n, _component_keys, "component")]
+def _rebuild_from_components(n: int, graphs: list[Graph]) -> Graph:
+    items = [item for g in graphs for item in _component_keys(0, g)]
+    parts = [p for _, p in _largest_first(items, n, _component_keys, "component")]
     if sum(p.n for p in parts) != n or len(parts) < 2:
         raise DeckIntegrityError("components do not assemble to the right order")
     # parts arrive sorted by code; a stable sort by order keeps that within an order
@@ -486,15 +479,14 @@ def _degenerate_rebuild(cards: _CardTable) -> Graph | None:
 
     Pools components across the cards and repeatedly removes the largest
     one together with the components attributable to it; the series case
-    goes through complementation. Component codes are decoded through the
-    card table.
+    goes through complementation.
     """
     n, graphs = cards.deck.n, cards.graphs()
     if _at_most_one(g.is_connected() for g in graphs):
-        return _rebuild_from_components(cards, n, graphs)
+        return _rebuild_from_components(n, graphs)
     if _at_most_one(g.is_co_connected() for g in graphs):
         flipped = [g.complement() for g in graphs]
-        return _rebuild_from_components(cards, n, flipped).complement()
+        return _rebuild_from_components(n, flipped).complement()
     return None
 
 

@@ -3,8 +3,9 @@
 Garbage graph6 and deck text, perturbed decks and relabelled graphs on 3-8
 vertices. Only the documented input errors (`Graph6Error`, `DeckError`) may
 leave the library on these inputs, `reconstruct` never raises on a
-well-formed deck, the CLI answers with an exit code, and no result depends
-on how the input graph is labelled.
+well-formed deck, the public reconstruction steps raise nothing but a
+`ValueError` on any deck and skeleton, the CLI answers with an exit code,
+and no result depends on how the input graph is labelled.
 """
 
 import random
@@ -22,13 +23,22 @@ from deckrecon import (
     canonical_labeling,
     decompose,
     from_graph6,
+    inflate,
+    interval_single_large,
+    interval_single_pair,
+    intervals_multi,
     is_indecomposable,
     make_deck,
     parse_deck_text,
+    path_graph,
     reconstruct,
+    reconstruct_degenerate,
+    singleton_count,
+    skeleton_from_deck,
 )
 from deckrecon.cli import main
 from deckrecon.modular import Kind
+from deckrecon.oracle import enumerate_graphs
 
 from test_graphs import random_graph
 
@@ -151,6 +161,58 @@ def test_perturbed_decks_raise_only_deck_errors_and_reconstruct_soundly():
         _check_result(d, res)
         statuses[res.status] += 1
     assert set(statuses) == {"rejected", "reconstructed", "unsupported"}
+
+
+def _step_graph(n, rng):
+    """A random graph on n vertices, or when n >= 4 a random inflation of P4
+    whose added vertices mostly join one interval."""
+    if n < 4 or rng.random() < 0.5:
+        return random_graph(n, rng, rng.random())
+    sizes = [1] * 4
+    big = rng.randrange(4)
+    for _ in range(n - 4):
+        sizes[big if rng.random() < 0.7 else rng.randrange(4)] += 1
+    return inflate(path_graph(4), [random_graph(m, rng, rng.random()) for m in sizes])
+
+
+def _step_deck(rng):
+    """A deck on 1-9 vertices: a random multiset of catalog cards, or the
+    cards of one to three random graphs, mixed."""
+    n = rng.randrange(1, 10)
+    if rng.random() < 0.3:
+        return Deck(n, tuple(rng.choices(enumerate_graphs(n - 1), k=n)))
+    graphs = [_step_graph(n, rng) for _ in range(rng.randrange(1, 4))]
+    return Deck(n, tuple(rng.choice(graphs).delete_vertex(v).to_graph6() for v in range(n)))
+
+
+def test_public_steps_raise_only_value_errors():
+    # each step, on any deck and any skeleton, answers or raises a ValueError
+    # (DeckIntegrityError, CapabilityError or a bare precondition); k is the
+    # deck's own skeleton where it has one, else a random catalog graph
+    rng = random.Random(36)
+    answered = Counter()
+    for _ in range(400):
+        d = _step_deck(rng)
+        try:
+            k = skeleton_from_deck(d)
+            answered["skeleton_from_deck"] += 1
+        except ValueError:
+            k = None
+        if k is None or rng.random() < 0.3:
+            k = from_graph6(rng.choice(enumerate_graphs(rng.randrange(1, 9))))
+        steps = (singleton_count, intervals_multi, interval_single_large, interval_single_pair)
+        for step in steps:
+            try:
+                step(d, k)
+                answered[step.__name__] += 1
+            except ValueError:
+                pass
+        try:
+            reconstruct_degenerate(d)
+            answered["reconstruct_degenerate"] += 1
+        except ValueError:
+            pass
+    assert len(answered) == 6, answered
 
 
 def test_cli_answers_garbage_with_an_exit_code(capsys, tmp_path):

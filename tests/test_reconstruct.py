@@ -61,8 +61,11 @@ def c5_with_edge_interval(c5):
 
 def test_skeleton_from_deck(c5):
     g = c5_with_edge_interval(c5)
-    k = skeleton_from_deck(make_deck(g))
+    d = make_deck(g)
+    k = skeleton_from_deck(d)
     assert is_isomorphic(k, c5)
+    # on a pair deck the skeleton is the card itself, as decoded
+    assert k.to_graph6() in d.cards
 
 
 def test_skeleton_from_deck_needs_prime_cards():
@@ -377,6 +380,89 @@ def test_reconstruct_degenerate_rejects_connected_input(c5):
         reconstruct_degenerate(make_deck(c5))
 
 
+# -- largest-first attribution ---------------------------------------------------
+
+
+def code_pooled_largest_first(pool, total, keys_of, what):
+    """Attribution over a pool of (tag, code) keys, each code decoded afresh;
+    returns the recovered keys sorted, one per interval or component."""
+    pool = Counter(pool)
+    recovered = Counter()
+    while pool:
+        key = max(pool, key=lambda item: (from_graph6(item[1]).n, item))
+        part = from_graph6(key[1])
+        denom = total - part.n
+        count = pool.pop(key)
+        if denom <= 0 or count % denom:
+            raise DeckIntegrityError(f"{what} attribution failed")
+        cnt = count // denom
+        recovered[key] += cnt
+        for v in range(part.n):
+            for sub_key, _ in keys_of(key[0], part.delete_vertex(v)):
+                pool[sub_key] -= cnt
+                if pool[sub_key] < 0:
+                    raise DeckIntegrityError(f"{what} attribution failed")
+                if pool[sub_key] == 0:
+                    del pool[sub_key]
+    return [key for key, q in sorted(recovered.items()) for _ in range(q)]
+
+
+def attribution_pools():
+    """(per-card items, total, keys_of, what) for every multi-interval and
+    every degenerate deck on 4-8 vertices, pooled as reconstruction pools them."""
+    for n in range(4, 9):
+        for code in enumerate_graphs(n):
+            g = from_graph6(code)
+            dec = decompose(g)
+            multi = dec.kind is Kind.PRIME and len(rc._nonsingletons(dec)) >= 2
+            if not multi and dec.kind not in (Kind.PARALLEL, Kind.SERIES):
+                continue
+            if multi:
+                d = make_deck(g)
+                cards = rc._cards(d)
+                k = skeleton_from_deck(d)
+                dk, non = cards.split(k)
+                tagged = rc._orbit_tagger(cards, k)
+                per_card = [
+                    [item for t, p in tagged(cards.prime(c)) for item in rc._interval_keys(t, p)]
+                    for c in dk
+                ]
+                yield per_card, n - len(non), rc._interval_keys, "interval"
+            else:
+                # a parallel deck pools components, a series deck co-components,
+                # of g's cards, which carry the deck's codes
+                flip = dec.kind is Kind.SERIES
+                cards = [g.delete_vertex(v) for v in range(n)]
+                per_card = [rc._component_keys(0, h.complement() if flip else h) for h in cards]
+                yield per_card, n, rc._component_keys, "component"
+
+
+def test_graph_pool_matches_the_code_pool():
+    # keeping the first graph of each key recovers the parts that decoding
+    # each recovered code did, and fails where it failed, with the same message
+    def attributed(fn, items, *args):
+        try:
+            return fn(items, *args)
+        except DeckIntegrityError as exc:
+            return str(exc)
+
+    kinds = Counter()
+    for i, (per_card, total, keys_of, what) in enumerate(attribution_pools()):
+        kinds[what] += 1
+        left_out = i % len(per_card)
+        for pooled in (per_card, per_card[:left_out] + per_card[left_out + 1 :]):
+            items = [item for card_items in pooled for item in card_items]
+            want = attributed(code_pooled_largest_first, [k for k, _ in items], total, keys_of, what)
+            got = attributed(rc._largest_first, items, total, keys_of, what)
+            if isinstance(got, list):
+                # each part is a graph that was pooled, not a decoded code
+                assert {id(p) for _, p in got} <= {id(h) for _, h in items}
+                got = [(t, canonical_form(p)) for t, p in got]
+            assert got == want, (per_card, left_out)
+    rc._cards.cache_clear()
+    assert kinds["interval"] > 100 and kinds["component"] > 1000, kinds
+
+
 # -- full reconstruction -----------------------------------------------------------
 
 
@@ -485,6 +571,30 @@ def decomposable_decks_up_to_seven_vertices():
                 yield make_deck(g)
 
 
+def test_reconstruct_decodes_only_cards(monkeypatch, c5, bull):
+    # an interval's, a component's or the skeleton's code is only compared:
+    # the graphs behind them are the cards' own, so no other code is decoded
+    decoded = []
+
+    def decoding(code):
+        decoded.append(code)
+        return from_graph6(code)
+
+    graphs = [g for g, _ in branch_examples(c5, bull)] + list(past_twelve_shapes().values())
+    graphs.append(inflate(path_graph(4), [complete_graph(3), K1, K1, K1]))
+    decks = [make_deck(g) for g in graphs] + list(decomposable_decks_up_to_seven_vertices())
+    monkeypatch.setattr(rc, "from_graph6", decoding)
+    for d in decks:
+        rc._cards.cache_clear()
+        rc._small_card.cache_clear()
+        decoded.clear()
+        reconstruct(d)
+        assert decoded, d
+        assert set(decoded) <= set(d.cards), (d, set(decoded) - set(d.cards))
+    rc._cards.cache_clear()
+    rc._small_card.cache_clear()
+
+
 def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
     # canon's symmetry search (labelling and orbits at once), the criticality
     # test and the deck's edge count go through the card table, so none
@@ -510,7 +620,7 @@ def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
         assert not again, (d, again)
         if i >= len(examples):
             total.update(name for name, *_ in calls)
-    assert total["_symmetry"] <= 1724
+    assert total["_symmetry"] <= 1405
     assert total["is_critically_indecomposable"] == 228
     # one edge count per deck that reaches a splice check: 228 pair, 70
     # single-large, 112 multi and 6 vertex-transitive decks
@@ -751,19 +861,23 @@ def paley_graph(q: int) -> Graph:
     )
 
 
-def test_reconstruct_past_twelve_vertices():
-    # 11- and 13-vertex skeletons: each deck reconstructs, or is one the
-    # theory leaves open, for the same reasons as at desk scale
+def past_twelve_shapes():
+    """Graphs with 11- and 13-vertex skeletons, by name."""
     p13 = path_graph(13)
-    shapes = {
+    return {
         "P13, one K2": inflate(p13, [K2] + [K1] * 12),
         "P13, K2 K1 K2": inflate(p13, [K2, K1, K2] + [K1] * 10),
         "P11, one K2": inflate(path_graph(11), [K2] + [K1] * 10),
         "C13, one K2": inflate(cycle_graph(13), [K2] + [K1] * 12),
         "Paley(13), one K2": inflate(paley_graph(13), [K2] + [K1] * 12),
     }
+
+
+def test_reconstruct_past_twelve_vertices():
+    # 11- and 13-vertex skeletons: each deck reconstructs, or is one the
+    # theory leaves open, for the same reasons as at desk scale
     got = {}
-    for name, g in shapes.items():
+    for name, g in past_twelve_shapes().items():
         res = reconstruct(make_deck(g))
         if res.reconstructed:
             assert is_isomorphic(res.graph, g), name
