@@ -36,7 +36,6 @@ from .modular import (
     inflate,
     is_critically_indecomposable,
     is_indecomposable,
-    skeleton,
 )
 from .reconstruct import (
     ReconstructionResult,

@@ -23,8 +23,9 @@ class InputError(ValueError):
 
 
 def _read_graph(text: str) -> Graph:
-    """A graph6 literal, or @path to read one from a file."""
-    if text.startswith("@"):
+    """A graph6 literal, or @path to read one from a file; no path is empty,
+    so a lone "@" is the graph6 literal of the one-vertex graph."""
+    if text.startswith("@") and len(text) > 1:
         try:
             raw = Path(text[1:]).read_text()
         except (OSError, UnicodeDecodeError) as exc:
@@ -54,12 +55,12 @@ def _cmd_decompose(args) -> int:
     if dec.kind is Kind.PRIME:
         payload["skeleton"] = canonical_form(dec.skeleton)
         payload["intervals"] = [
-            {"vertex": pos, "graph6": p.to_graph6()} for pos, p in dec.intervals
+            {"vertex": pos, "graph6": p.to_graph6()} for pos, p in enumerate(dec.parts)
         ]
         lines.append(f"skeleton: {payload['skeleton']}")
-        for pos, p in dec.intervals:
+        for pos, p in enumerate(dec.parts):
             lines.append(f"interval at vertex {pos}: {p.to_graph6()}")
-    elif dec.parts is not None:
+    elif dec.parts:
         payload["parts"] = [p.to_graph6() for p in dec.parts]
         for p in dec.parts:
             lines.append(f"part: {p.to_graph6()}")

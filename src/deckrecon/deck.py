@@ -8,7 +8,7 @@ from typing import Any, Callable
 
 from .canon import _symmetry, canonical_form
 from .graphs import MAX_VERTICES, Graph, from_graph6
-from .modular import skeleton
+from .modular import decompose
 
 
 class DeckError(ValueError):
@@ -98,7 +98,7 @@ def _edge_count(n: int, cards: list[Graph]) -> int:
 
 def skeleton_code(code: str) -> str:
     """Canonical code of the skeleton of the graph a card encodes."""
-    return canonical_form(skeleton(from_graph6(code)))
+    return canonical_form(decompose(from_graph6(code)).skeleton)
 
 
 # -- deck files: one graph6 card per line, '#' comments, blank lines ignored --

@@ -21,18 +21,19 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class ModularDecomposition:
-    """Top-level modular decomposition of a graph.
+    """Top-level modular decomposition of a graph: its skeleton, the one
+    indecomposable quotient, inflated by its parts.
 
-    PRIME carries the indecomposable skeleton (|K| >= 4) and one interval per
-    skeleton vertex; PARALLEL/SERIES carry the component (resp. co-component)
-    subgraphs without claiming unique intervals; INDECOMPOSABLE carries
-    neither.
+    The skeleton is the graph itself (INDECOMPOSABLE, no parts), K2BAR with
+    the components as parts (PARALLEL), K2 with the co-components (SERIES),
+    or the prime quotient on >= 4 vertices with the interval at skeleton
+    vertex i as parts[i] (PRIME). Only PRIME's parts are the unique
+    intervals of the skeleton.
     """
 
     kind: Kind
-    skeleton: Graph | None = None
-    intervals: tuple[tuple[int, Graph], ...] | None = None
-    parts: tuple[Graph, ...] | None = None
+    skeleton: Graph
+    parts: tuple[Graph, ...] = ()
 
 
 # the one graph of every singleton interval; the series and parallel quotients
@@ -128,23 +129,23 @@ def maximal_proper_module_masks(g: Graph) -> list[int]:
 
 
 def decompose(g: Graph) -> ModularDecomposition:
-    """Top-level modular decomposition (unique skeleton, Prime intervals)."""
+    """Top-level modular decomposition: the unique skeleton and the parts that inflate it."""
     if g.n < 1:
         raise ValueError("decomposition needs at least one vertex")
     if g.n <= 2:
-        return ModularDecomposition(Kind.INDECOMPOSABLE)
+        return ModularDecomposition(Kind.INDECOMPOSABLE, g)
     if not g.is_connected():
         return ModularDecomposition(
-            Kind.PARALLEL, parts=tuple(g.induced_subgraph(c) for c in g.components())
+            Kind.PARALLEL, K2BAR, tuple(g.induced_subgraph(c) for c in g.components())
         )
     if not g.is_co_connected():
         cocomps = g.components((1 << g.n) - 1)
         return ModularDecomposition(
-            Kind.SERIES, parts=tuple(g.induced_subgraph(c) for c in cocomps)
+            Kind.SERIES, K2, tuple(g.induced_subgraph(c) for c in cocomps)
         )
     part_masks = maximal_proper_module_masks(g)
     if len(part_masks) == g.n:
-        return ModularDecomposition(Kind.INDECOMPOSABLE)
+        return ModularDecomposition(Kind.INDECOMPOSABLE, g)
     # The maximal proper modules partition V, and each is a module: checked
     # rather than assumed, once per vertex against its part's representative.
     covered = 0
@@ -170,10 +171,9 @@ def decompose(g: Graph) -> ModularDecomposition:
     if k < 4 or not is_indecomposable(skeleton):
         raise RuntimeError("prime quotient is not an indecomposable graph on >= 4 vertices")
     intervals = tuple(
-        (i, g.induced_subgraph(_bits(m)) if m & (m - 1) else SINGLETON)
-        for i, m in enumerate(part_masks)
+        g.induced_subgraph(_bits(m)) if m & (m - 1) else SINGLETON for m in part_masks
     )
-    return ModularDecomposition(Kind.PRIME, skeleton=skeleton, intervals=intervals)
+    return ModularDecomposition(Kind.PRIME, skeleton, intervals)
 
 
 def inflate(k: Graph, parts: list[Graph] | tuple[Graph, ...]) -> Graph:
@@ -195,22 +195,6 @@ def inflate(k: Graph, parts: list[Graph] | tuple[Graph, ...]) -> Graph:
         base = len(rows)
         rows.extend(row << base | outside for row in p.adj)
     return Graph(len(rows), tuple(rows))
-
-
-def skeleton(g: Graph) -> Graph:
-    """The unique indecomposable quotient: g itself, K2/its complement, or the prime skeleton."""
-    return _skeleton_of(g, decompose(g))
-
-
-def _skeleton_of(g: Graph, dec: ModularDecomposition) -> Graph:
-    if dec.kind is Kind.INDECOMPOSABLE:
-        return g
-    if dec.kind is Kind.PARALLEL:
-        return K2BAR
-    if dec.kind is Kind.SERIES:
-        return K2
-    assert dec.skeleton is not None
-    return dec.skeleton
 
 
 def critically_indecomposable(n: int, complemented: bool = False) -> Graph:

@@ -48,7 +48,6 @@ from .modular import (
     decompose,
     indecomposable_masks,
     is_indecomposable,
-    skeleton,
 )
 from .reconstruct import (
     _nonsingletons,
@@ -300,7 +299,8 @@ def _cor_2_5(g: Graph):
 def _lem_3_1(g: Graph, dec, nons):
     # each card's skeleton embeds in the skeleton of the whole graph
     for v in range(g.n):
-        yield f" vertex={v}", has_induced_subgraph(dec.skeleton, skeleton(g.delete_vertex(v)))
+        card = decompose(g.delete_vertex(v))
+        yield f" vertex={v}", has_induced_subgraph(dec.skeleton, card.skeleton)
 
 
 @_on_prime
@@ -311,7 +311,7 @@ def _thm_3_2(g: Graph, dec, nons):
 
     def recovered():
         k = skeleton_from_deck(d)
-        singles = len(dec.intervals) - len(nons)
+        singles = len(dec.parts) - len(nons)
         return is_isomorphic(k, dec.skeleton) and singleton_count(d, k) == singles
 
     yield "", _holds(recovered)
@@ -320,7 +320,7 @@ def _thm_3_2(g: Graph, dec, nons):
 def _orbit_tagged(dec) -> list[tuple[int, Graph]]:
     """(skeleton orbit, interval) at every position of the true decomposition."""
     oix = orbit_index(automorphism_orbits(dec.skeleton))
-    return [(oix[pos], p) for pos, p in dec.intervals]
+    return [(oix[pos], p) for pos, p in enumerate(dec.parts)]
 
 
 @_on_prime

@@ -8,21 +8,21 @@ one isomorphism class whose deck is the input deck, turning a splice down on
 its degree sequence before its deck is built; every prime answer is its
 survivor's splice, built once. Outcomes the theory leaves open (hereditary
 orbit sets; a size-2 interval whose target orbit the theory cannot pin down)
-surface as first-class Unsupported results. Every answer about one deck
-lives in one memo, its card table: card decodes, decompositions and skeleton
-codes, the skeleton split, the deck's degree sequence, the single-large and
-size-2 survivors with their splices, canon's searches, the criticality test,
-and the code and deck of each candidate graph. Each is computed on first use
-and dropped with the table, so no question repeats within a deck and no
-deck is built twice. The one exception is a card on at most
-MEMO_ORDER_LIMIT (8) vertices: its decode, decomposition and skeleton depend
-on its code alone, so every deck reads them from one process-wide memo of
-the MEMO_SIZE (2048) most recently used codes (about 1,200 entries and
-0.45 MB after one pass over the desk-sweep decks), and a card that recurs
-across decks is decoded and decomposed once per process. The public steps
-take the deck and look its table up once; every private step takes the
-table itself, with the deck at cards.deck. Only card codes are decoded;
-any other code is only compared.
+surface as first-class Unsupported results. Every answer about one deck lives
+in one memo, its card table: card decodes and decompositions (each carrying
+its card's skeleton), the skeleton codes, the skeleton split, the deck's
+degree sequence, the single-large and size-2 survivors with their splices,
+canon's searches, the criticality test, and the code and deck of each
+candidate graph. Each is computed on first use and dropped with the table, so
+no question repeats within a deck and no deck is built twice. The one
+exception is a card on at most MEMO_ORDER_LIMIT (8) vertices: its decode and
+decomposition depend on its code alone, so every deck reads them from one
+process-wide memo of the MEMO_SIZE (2048) most recently used codes (about
+1,200 entries and 0.45 MB after one pass over the desk-sweep decks), and a
+card that recurs across decks is decoded and decomposed once per process. The
+public steps take the deck and look its table up once; every private step
+takes the table itself, with the deck at cards.deck. Only card codes are
+decoded; any other code is only compared.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .modular import (
     SINGLETON,
     Kind,
     ModularDecomposition,
-    _skeleton_of,
     decompose,
     inflate,
     is_critically_indecomposable,
@@ -84,11 +83,11 @@ class ReconstructionResult:
 
 
 class _Card:
-    """One card: its graph, and its decomposition and skeleton once asked
-    for, which the degenerate branch never does. A skeleton is coded only
-    where it is compared, on the compared order."""
+    """One card: its graph, and its decomposition once asked for, which the
+    degenerate branch never does. The card's skeleton is dec.skeleton, coded
+    only where it is compared, on the compared order."""
 
-    __slots__ = ("graph", "_dec", "_skeleton")
+    __slots__ = ("graph", "_dec")
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -98,13 +97,7 @@ class _Card:
     def dec(self) -> ModularDecomposition:
         if self._dec is None:
             self._dec = decompose(self.graph)
-            self._skeleton = _skeleton_of(self.graph, self._dec)
         return self._dec
-
-    @property
-    def skeleton(self) -> Graph:
-        self.dec  # read with the decomposition
-        return self._skeleton
 
 
 class _CardTable:
@@ -173,7 +166,7 @@ def _split(cards: _CardTable, k: Graph) -> tuple[list[str], list[str]]:
     dk: list[str] = []
     non: list[str] = []
     for code in cards.deck.cards:
-        sk = cards.card(code).skeleton
+        sk = cards.card(code).dec.skeleton
         (dk if sk.n == k.n and cards.ask(canonical_form, sk) == target else non).append(code)
     return dk, non
 
@@ -218,8 +211,8 @@ def _splice(k: Graph, parts: list[Graph], pos: int, part: Graph) -> Graph:
 
 
 def _nonsingletons(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
-    """The (position, interval) pairs of a prime decomposition on 2+ vertices."""
-    return [(pos, p) for pos, p in dec.intervals if p.n >= 2]
+    """The (skeleton vertex, interval) pairs of a prime decomposition on 2+ vertices."""
+    return [(pos, p) for pos, p in enumerate(dec.parts) if p.n >= 2]
 
 
 # -- deck-level skeleton and singleton statistics -----------------------------
@@ -230,7 +223,7 @@ def skeleton_from_deck(d: Deck) -> Graph:
     order, labelled like its card's quotient (a pair deck's is the card)."""
     cards = _cards(d)
     # no card of a deck of fewer than five cards has four vertices
-    skeletons = [cards.card(code).skeleton for code in dict.fromkeys(d.cards)] if d.n > 4 else []
+    skeletons = [cards.card(c).dec.skeleton for c in dict.fromkeys(d.cards)] if d.n > 4 else []
     top_n = max((k.n for k in skeletons), default=0)
     if top_n < 4:
         raise DeckIntegrityError("no card has a skeleton on four or more vertices")
@@ -322,7 +315,7 @@ def _orbit_tagger(
     def tagged(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
         # equal canonical positions map the card's quotient onto k
         to_k = dict(zip(cards.ask(_symmetry, dec.skeleton)[0], order_k))
-        return [(oix[to_k[pos]], part) for pos, part in dec.intervals]
+        return [(oix[to_k[pos]], part) for pos, part in enumerate(dec.parts)]
 
     return tagged
 
@@ -337,10 +330,9 @@ def _interval_keys(t: int, sub: Graph) -> list[tuple[tuple[int, str], Graph]]:
 def _modules_of_order(dec: ModularDecomposition, size: int) -> list[Graph]:
     """The strong modules on size vertices below the root of a decomposition
     tree, in depth-first order; only nodes on more than size vertices are
-    decomposed further."""
-    children = dec.parts or [p for _, p in dec.intervals or ()]
+    decomposed further, and an indecomposable node has no parts."""
     out: list[Graph] = []
-    for child in children:
+    for child in dec.parts:
         if child.n == size:
             out.append(child)
         elif child.n > size:
@@ -377,7 +369,7 @@ def _single_large(cards: _CardTable, k: Graph) -> tuple[Graph, Graph]:
             candidates.setdefault(canonical_form(cand), cand)
     host = cards.prime(min(dk))
     [(pos, _)] = _nonsingletons(host)
-    parts = [p for _, p in host.intervals]
+    parts = list(host.parts)
     splices = ((c, _splice(host.skeleton, parts, pos, c)) for _, c in sorted(candidates.items()))
     return _survivor(cards, splices)
 
@@ -549,7 +541,7 @@ def _grown_back(cards: _CardTable, k: Graph, dec, recovered: list) -> Iterator[G
     """A skeleton-preserving card shows one interval shrunk by a vertex: each
     graph that grows one of its parts back to a recovered interval of the
     part's orbit, in position order."""
-    parts = [p for _, p in dec.intervals]
+    parts = list(dec.parts)
     for pos, (t, part) in enumerate(_orbit_tagger(cards, k)(dec)):
         for tag, big in dict.fromkeys(recovered):
             if tag == t and big.n == part.n + 1:
@@ -565,7 +557,7 @@ def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     # with no card keeping a prime quotient on |K| - 1 vertices, the one
     # vertex whose deletion leaves K indecomposable is the inflated one
     order1 = (cards.card(code) for code in set(cards.split(k)[1]))
-    if not any(c.dec.kind is Kind.PRIME and c.skeleton.n == k.n - 1 for c in order1):
+    if not any(c.dec.skeleton.n == k.n - 1 for c in order1):
         provenance = "size-two interval at unique position"
     else:
         # the lifting test decides family G (every vertex passes) and the

@@ -4,7 +4,7 @@ import pytest
 
 from deckrecon import canonical_form, cycle_graph, inflate, make_deck
 from deckrecon.cli import main
-from deckrecon.graphs import complete_graph, empty_graph
+from deckrecon.graphs import complete_graph, empty_graph, path_graph
 
 
 def run(capsys, *argv):
@@ -44,6 +44,46 @@ def test_decompose_degenerate_json(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "degenerate-parallel"
     assert payload["parts"] == ["@", "@", "@"]
+
+
+# the exact text and JSON of `deckrecon decompose` at every kind: P4
+# (indecomposable), three isolated vertices (parallel), K3 (series), and C5
+# with one vertex inflated to K2 (prime, its intervals listed by vertex)
+DECOMPOSE_OUTPUT = [
+    (path_graph(4), "kind: indecomposable\n", '{"kind": "indecomposable", "n": 4}\n'),
+    (
+        empty_graph(3),
+        "kind: degenerate-parallel\npart: @\npart: @\npart: @\n",
+        '{"kind": "degenerate-parallel", "n": 3, "parts": ["@", "@", "@"]}\n',
+    ),
+    (
+        complete_graph(3),
+        "kind: degenerate-series\npart: @\npart: @\npart: @\n",
+        '{"kind": "degenerate-series", "n": 3, "parts": ["@", "@", "@"]}\n',
+    ),
+    (
+        inflate(cycle_graph(5), [complete_graph(2)] + [empty_graph(1)] * 4),
+        "kind: prime\nskeleton: DLo\ninterval at vertex 0: A_\n"
+        + "".join(f"interval at vertex {v}: @\n" for v in range(1, 5)),
+        '{"intervals": [{"graph6": "A_", "vertex": 0}, {"graph6": "@", "vertex": 1}, '
+        '{"graph6": "@", "vertex": 2}, {"graph6": "@", "vertex": 3}, '
+        '{"graph6": "@", "vertex": 4}], "kind": "prime", "n": 6, "skeleton": "DLo"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("g, text, payload", DECOMPOSE_OUTPUT)
+def test_decompose_output_at_every_kind(capsys, g, text, payload):
+    assert run(capsys, "decompose", g.to_graph6()) == (0, text, "")
+    assert run(capsys, "decompose", g.to_graph6(), "--json") == (0, payload, "")
+
+
+def test_a_lone_at_sign_is_the_one_vertex_graph(capsys, tmp_path):
+    # "@" is the graph6 literal of K1, not a file reference: no path is empty
+    assert run(capsys, "decompose", "@") == (0, "kind: indecomposable\n", "")
+    assert run(capsys, "deck", "@") == (0, "?\n", "")
+    code, _, err = run(capsys, "decompose", f"@{tmp_path / 'absent.g6'}")
+    assert code == 2 and err.startswith("error: cannot read")
 
 
 def test_deck_output(capsys, c5):

@@ -19,7 +19,6 @@ from deckrecon import (
     is_indecomposable,
     is_isomorphic,
     path_graph,
-    skeleton,
 )
 from deckrecon.graphs import from_graph6
 from deckrecon.modular import (
@@ -160,17 +159,21 @@ def test_indecomposable_masks_table_agrees_with_direct_check():
 
 
 def test_decompose_kinds(p4):
-    assert decompose(disjoint_union([path_graph(2), path_graph(3)])).kind is Kind.PARALLEL
-    assert decompose(complete_graph(4)).kind is Kind.SERIES
-    assert decompose(p4).kind is Kind.INDECOMPOSABLE
-    assert decompose(empty_graph(1)).kind is Kind.INDECOMPOSABLE
+    parallel = decompose(disjoint_union([path_graph(2), path_graph(3)]))
+    assert parallel.kind is Kind.PARALLEL and parallel.skeleton is modular.K2BAR
+    series = decompose(complete_graph(4))
+    assert series.kind is Kind.SERIES and series.skeleton is modular.K2
+    # an indecomposable graph is its own skeleton, with no parts
+    for g in (p4, empty_graph(1), empty_graph(2), complete_graph(2)):
+        dec = decompose(g)
+        assert dec.kind is Kind.INDECOMPOSABLE and dec.skeleton is g and dec.parts == ()
     with pytest.raises(ValueError):
         decompose(empty_graph(0))
     # past 20 vertices, up to the 64-vertex graph cap
     assert decompose(empty_graph(21)).kind is Kind.PARALLEL
     big = inflate(cycle_graph(5), [path_graph(60)] + [empty_graph(1)] * 4)
     dec = decompose(big)
-    assert dec.kind is Kind.PRIME and dec.intervals[0][1] == path_graph(60)
+    assert dec.kind is Kind.PRIME and dec.parts[0] == path_graph(60)
 
 
 def test_decompose_prime_example(c5):
@@ -178,7 +181,7 @@ def test_decompose_prime_example(c5):
     dec = decompose(g)
     assert dec.kind is Kind.PRIME
     assert is_isomorphic(dec.skeleton, c5)
-    sizes = sorted(p.n for _, p in dec.intervals)
+    sizes = sorted(p.n for p in dec.parts)
     assert sizes == [1, 1, 1, 1, 2]
 
 
@@ -205,7 +208,7 @@ def test_inflate_round_trips_decomposition():
             dec = decompose(g)
             if dec.kind is not Kind.PRIME:
                 continue
-            rebuilt = inflate(dec.skeleton, [p for _, p in dec.intervals])
+            rebuilt = inflate(dec.skeleton, dec.parts)
             assert is_isomorphic(rebuilt, g)
             # parts listed in increasing order of their lowest original vertex,
             # so the rebuild even matches vertex-for-vertex after sorting
@@ -226,11 +229,11 @@ def test_inflate_validates():
 
 
 def test_skeleton_values(p4, c5):
-    assert skeleton(p4) == p4
-    assert skeleton(disjoint_union([p4, p4])) == empty_graph(2)
-    assert skeleton(complete_graph(5)) == complete_graph(2)
+    assert decompose(p4).skeleton == p4
+    assert decompose(disjoint_union([p4, p4])).skeleton == empty_graph(2)
+    assert decompose(complete_graph(5)).skeleton == complete_graph(2)
     g = inflate(c5, [complete_graph(3)] + [empty_graph(1)] * 4)
-    assert is_isomorphic(skeleton(g), c5)
+    assert is_isomorphic(decompose(g).skeleton, c5)
 
 
 def test_maximal_modules_partition_prime_graphs():
@@ -252,20 +255,20 @@ def pairwise_decompose(g):
     """The decomposition with component lists up front and the module check
     per part pair and per vertex: the reference for `decompose`."""
     if g.n <= 2:
-        return ModularDecomposition(Kind.INDECOMPOSABLE)
+        return ModularDecomposition(Kind.INDECOMPOSABLE, g)
     comps = g.components()
     if len(comps) > 1:
         return ModularDecomposition(
-            Kind.PARALLEL, parts=tuple(g.induced_subgraph(c) for c in comps)
+            Kind.PARALLEL, empty_graph(2), tuple(g.induced_subgraph(c) for c in comps)
         )
     cocomps = g.complement().components()
     if len(cocomps) > 1:
         return ModularDecomposition(
-            Kind.SERIES, parts=tuple(g.induced_subgraph(c) for c in cocomps)
+            Kind.SERIES, complete_graph(2), tuple(g.induced_subgraph(c) for c in cocomps)
         )
     part_masks = modular.maximal_proper_module_masks(g)
     if len(part_masks) == g.n:
-        return ModularDecomposition(Kind.INDECOMPOSABLE)
+        return ModularDecomposition(Kind.INDECOMPOSABLE, g)
     k = len(part_masks)
     reps = [(m & -m).bit_length() - 1 for m in part_masks]
     rows = [0] * k
@@ -278,19 +281,18 @@ def pairwise_decompose(g):
                 cross = g.adj[u] & part_masks[j]
                 if cross not in (0, part_masks[j]):
                     raise RuntimeError("module boundary violated between quotient parts")
-    intervals = tuple((i, g.induced_subgraph(_bits(m))) for i, m in enumerate(part_masks))
-    return ModularDecomposition(Kind.PRIME, skeleton=Graph(k, tuple(rows)), intervals=intervals)
+    intervals = tuple(g.induced_subgraph(_bits(m)) for m in part_masks)
+    return ModularDecomposition(Kind.PRIME, Graph(k, tuple(rows)), intervals)
 
 
 def _rows(dec):
-    skeleton = dec.skeleton and (dec.skeleton.n, dec.skeleton.adj)
-    parts = dec.parts and [(p.n, p.adj) for p in dec.parts]
-    intervals = dec.intervals and [(i, p.n, p.adj) for i, p in dec.intervals]
-    return dec.kind, skeleton, parts, intervals
+    skeleton = (dec.skeleton.n, dec.skeleton.adj)
+    parts = [(p.n, p.adj) for p in dec.parts]
+    return dec.kind, skeleton, parts
 
 
 def test_decompose_matches_the_pairwise_check():
-    # kind, skeleton rows, parts and interval rows, in order: every catalog
+    # kind, skeleton rows and part rows, in order, at every kind: every catalog
     # graph up to 7 vertices, then seeded inflations and unions at 12-20
     for n in range(1, 8):
         for code in enumerate_graphs(n):
@@ -330,7 +332,7 @@ def test_decompose_rejects_a_part_that_is_no_module(monkeypatch, p4):
 
 def test_singleton_intervals_share_one_graph():
     g = inflate(cycle_graph(5), [complete_graph(2)] + [empty_graph(1)] * 4)
-    singles = [p for _, p in decompose(g).intervals if p.n == 1]
+    singles = [p for p in decompose(g).parts if p.n == 1]
     assert len(singles) == 4 and all(p is modular.SINGLETON for p in singles)
     assert modular.SINGLETON == empty_graph(1)
 
@@ -350,7 +352,7 @@ def _check_modules(g, indecomposable, maximal):
     # PRIME intervals are the maximal modules, listed by lowest vertex
     assert dec.kind is Kind.PRIME
     parts = [g.induced_subgraph([v for v in range(g.n) if m >> v & 1]) for m in masks]
-    assert [p for _, p in dec.intervals] == parts, g
+    assert list(dec.parts) == parts, g
 
 
 def _check_against_module_oracle(g):

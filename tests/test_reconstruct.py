@@ -156,7 +156,7 @@ def large_interval_cases(c5, bull):
         part = prime_interval(n, rng)
         cases.append((lone_interval_inflation(bull, 4, part, rng), bull, part))
     g = from_graph6("LgPAD~JPqQXxXx")  # P4 with a 10-vertex interval at an inner vertex
-    cases.append((g, p4, max((p for _, p in decompose(g).intervals), key=lambda p: p.n)))
+    cases.append((g, p4, max(decompose(g).parts, key=lambda p: p.n)))
     return cases
 
 
@@ -214,7 +214,7 @@ def deep_card_cases():
     for code in ("LhCG???~wF?K?G", "K?CG?F~^p}Bw"):  # H8 with P6, and with P3 + K2
         g = from_graph6(code)
         dec = decompose(g)
-        yield g, dec.skeleton, max((p for _, p in dec.intervals), key=lambda p: p.n)
+        yield g, dec.skeleton, max(dec.parts, key=lambda p: p.n)
 
 
 def test_interval_single_large_in_deep_cards():
@@ -261,7 +261,7 @@ def pair_graphs_up_to_seven_vertices():
         for code in enumerate_graphs(n):
             g = from_graph6(code)
             dec = decompose(g)
-            if dec.kind is Kind.PRIME and sorted(p.n for _, p in dec.intervals)[-2:] == [1, 2]:
+            if dec.kind is Kind.PRIME and sorted(p.n for p in dec.parts)[-2:] == [1, 2]:
                 yield g, dec
 
 
@@ -270,7 +270,7 @@ def test_interval_single_pair_on_every_pair_deck():
     # of the interval's position
     seen = 0
     for g, dec in pair_graphs_up_to_seven_vertices():
-        [(pos, part)] = [(pos, p) for pos, p in dec.intervals if p.n == 2]
+        [(pos, part)] = [(pos, p) for pos, p in enumerate(dec.parts) if p.n == 2]
         got, positions = interval_single_pair(make_deck(g), dec.skeleton)
         assert is_isomorphic(got, part), g.to_graph6()
         assert positions == orbit_of(dec.skeleton, pos), g.to_graph6()
@@ -748,7 +748,7 @@ def test_every_skeleton_preserving_card_grows_back_the_graph():
         for code in enumerate_graphs(n):
             g = from_graph6(code)
             dec = decompose(g)
-            if dec.kind is not Kind.PRIME or sum(p.n >= 2 for _, p in dec.intervals) < 2:
+            if dec.kind is not Kind.PRIME or sum(p.n >= 2 for p in dec.parts) < 2:
                 continue
             d = make_deck(g)
             k = skeleton_from_deck(d)
@@ -791,18 +791,18 @@ def test_card_skeletons_are_coded_only_on_the_compared_order(monkeypatch):
     # compared code, so no such skeleton is canonicalised
     skeletons = {}
     coded = []
-    card_skeleton = rc._skeleton_of
+    card_dec = rc._Card.dec.fget
 
-    def skeleton_of(g, dec):
-        k = card_skeleton(g, dec)
-        skeletons[id(k)] = k
-        return k
+    def recording_dec(card):
+        dec = card_dec(card)
+        skeletons[id(dec.skeleton)] = dec.skeleton
+        return dec
 
     def recording(g):
         coded.append(g)
         return canonical_form(g)
 
-    monkeypatch.setattr(rc, "_skeleton_of", skeleton_of)
+    monkeypatch.setattr(rc._Card, "dec", property(recording_dec))
     monkeypatch.setattr(rc, "canonical_form", recording)
     compared = lower = 0
     for d in decomposable_decks_up_to_seven_vertices():
