@@ -2,13 +2,16 @@
 
 Catalogs of isomorphism classes (as canonical graph6 codes) are built by
 augmentation from the previous order: every n-vertex graph is a one-vertex
-extension of one of its own cards. Two rules cut the extensions that are
+extension of one of its own cards. Three rules cut the extensions that are
 canonicalised:
+- only extensions whose new vertex has the largest degree, since every
+  graph is such an extension of the card that deletes a vertex of largest
+  degree (canonical deletion, McKay 1998);
 - one extension per orbit of the parent's automorphisms, because masks in
   one orbit give isomorphic extensions;
 - only graphs with at most half of the C(n, 2) possible edges, whose
   complements are then added.
-Neither can change a code: every class is still reached, and a class's
+None can change a code: every class is still reached, and a class's
 code is what canon's search gives for any of its labellings.
 
 Each order is built once per process and kept in memory; nothing is read
@@ -87,17 +90,25 @@ def _mask_images(k: int, a: tuple[int, ...]) -> tuple[int, ...]:
 def _build_catalog(n: int, prev: tuple[str, ...]) -> tuple[str, ...]:
     """The sorted codes of all n-vertex graphs, from the (n-1)-vertex catalog.
 
-    Vertex n-1 is joined to the parent's vertices in a mask. Masks in one
-    orbit of the parent's automorphisms give isomorphic graphs, so only the
-    first mask of each orbit is canonicalised; the automorphisms are those
-    canon's search records, each a swap of twins or a leaf collision with
-    equal bits, and so a true one (missing some only splits orbits, and
-    skips fewer masks). Only
-    graphs with at most floor(m/2) of the m = C(n, 2) edges are built: such
-    a graph G extends its card G - v, which has e - deg(v) edges and so
-    room for deg(v) more. Every other class is the complement of one with
-    fewer than m/2 edges. Neither rule changes a code, since a class's code
-    does not depend on which of its labellings is canonicalised.
+    Vertex n-1 is joined to the parent's vertices in a mask. Three rules cut
+    the masks that are canonicalised. None loses a class or changes a code,
+    since a class's code does not depend on which labelling is canonicalised:
+    - The new vertex has the largest degree, ties allowed. With s = |mask|,
+      top the parent's largest degree and tops its vertices of that degree,
+      a mask fails exactly when s < top, or s == top and it meets tops,
+      which lifts a top vertex to s + 1; a parent with room for fewer than
+      top more edges (third rule) has no such mask. A graph G has a vertex v
+      of largest degree, and its card G - v is in the parent catalog under
+      some labelling, so some mask gives G back with the new vertex as v.
+    - One mask per orbit of the parent's automorphisms, since masks in one
+      orbit give isomorphic graphs; degrees are invariant under them, so the
+      first rule keeps or drops whole orbits. The automorphisms are those
+      canon's search records, each a swap of twins or a leaf collision with
+      equal bits, and so a true one (missing some only splits orbits, and
+      skips fewer masks).
+    - At most floor(m/2) of the m = C(n, 2) edges: such a G extends G - v,
+      which has e - deg(v) edges and so room for deg(v) more. Every other
+      class is the complement of one with fewer than m/2 edges.
     """
     k = n - 1
     m = n * k // 2
@@ -105,14 +116,17 @@ def _build_catalog(n: int, prev: tuple[str, ...]) -> tuple[str, ...]:
     for code in prev:
         g = from_graph6(code)
         room = m // 2 - g.edge_count()
-        if room < 0:
+        top = max((r.bit_count() for r in g.adj), default=0)
+        if room < top:
             continue
+        tops = sum(1 << v for v, r in enumerate(g.adj) if r.bit_count() == top)
         orbit = list(range(1 << k))
         for a in _search(k, g.adj, [list(range(k))])[2]:
             _join(orbit, _mask_images(k, a))
         done: set[int] = set()
         for mask in range(1 << k):
-            if mask.bit_count() > room:
+            s = mask.bit_count()
+            if s > room or s < top or (s == top and mask & tops):
                 continue
             root = _find(orbit, mask)
             if root in done:

@@ -36,6 +36,7 @@ from deckrecon.deck import make_deck
 from deckrecon.reconstruct import _small_card, reconstruct
 
 from test_graphs import random_graph
+from test_oracle import full_mask_catalog
 
 
 def matching(n):
@@ -418,10 +419,19 @@ def test_refinement_matches_the_full_rescan(monkeypatch):
         assert got == full_rescan_refine(adj, cells), (adj, cells, start)
         return got
 
+    # the catalogs are read before the patch and the builds are chained, so
+    # the count does not depend on which tests filled the catalog memo first
+    catalogs = [enumerate_graphs(n) for n in range(8)]
     monkeypatch.setattr(canon, "_refine", checked)
     assert _search(0, (), [[]])[0] == []
+    classes = catalogs[0]
     for n in range(1, 8):
-        assert _build_catalog(n, enumerate_graphs(n - 1)) == enumerate_graphs(n)
+        classes = _build_catalog(n, classes)
+        assert classes == catalogs[n]
+    # every one-vertex extension on at most 6 vertices, not only those the
+    # catalog build canonicalises
+    for n in range(1, 7):
+        assert full_mask_catalog(n, catalogs[n - 1]) == catalogs[n]
     rng = random.Random(23)
     graphs = [random_graph(n, rng) for n in range(12, 41, 4)]
     graphs += [empty_graph(20), matching(24), latin_square_graph(LATIN_SQUARE_7)]

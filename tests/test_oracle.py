@@ -76,12 +76,15 @@ def test_catalog_build_matches_the_full_mask_build():
         assert oracle._build_catalog(n, prev) == full_mask_catalog(n, prev), n
 
 
-def test_catalog_build_canonicalises_one_extension_per_orbit_and_half_the_edge_counts(
+def test_catalog_build_canonicalises_only_extensions_whose_new_vertex_has_the_largest_degree(
     monkeypatch,
 ):
-    # 9,984 extensions of the 156 six-vertex graphs; up to parent automorphism
-    # and with at most 10 of the 21 edges, plus one complement per class with
-    # at most 10 edges, 3,070 remain
+    # 9,984 extensions of the 156 six-vertex graphs. Keeping those whose new
+    # vertex has the largest degree, one per orbit of the parent's
+    # automorphisms and with at most 10 of the 21 edges, plus one complement
+    # per class with at most 10 edges, leaves 1,209; at n = 8, 15,646 of the
+    # 133,632 extensions of the 1,044 seven-vertex graphs
+    parents = {n: enumerate_graphs(n - 1) for n in (7, 8)}
     calls = []
 
     def counted(n, adj):
@@ -89,8 +92,10 @@ def test_catalog_build_canonicalises_one_extension_per_orbit_and_half_the_edge_c
         return canonical_code(n, adj)
 
     monkeypatch.setattr(oracle, "canonical_code", counted)
-    assert len(oracle._build_catalog(7, enumerate_graphs(6))) == KNOWN_COUNTS[7]
-    assert len(calls) == 3070
+    for n, want in ((7, 1209), (8, 15646)):
+        calls.clear()
+        assert len(oracle._build_catalog(n, parents[n])) == KNOWN_COUNTS[n]
+        assert len(calls) == want, n
 
 
 def test_catalog_closed_under_complement():
