@@ -1,12 +1,17 @@
 """Reconstruction of decomposable graphs from their decks.
 
-The pipeline recovers the skeleton and the singleton count from the deck,
-then splits on the shape of the non-singleton maximal intervals: at least two
-of them, one of size >= 3, or one of size exactly 2. Each prime branch lists
-candidate splices of a recovered interval into a card, and one rule keeps the
-one isomorphism class whose deck is the input deck, turning a splice down on
-its degree sequence before its deck is built; every prime answer is its
-survivor's splice, built once. Outcomes the theory leaves open (hereditary
+A degenerate deck (of a disconnected graph or the complement of one) is
+answered by attributing the cards' components, largest first (Kelly), and the
+answer is checked card by card on component codes: two disjoint unions are
+isomorphic exactly when their components' codes agree, so no deck of the
+answer is built. Otherwise the pipeline recovers the skeleton and the
+singleton count from the deck, then splits on the shape of the non-singleton
+maximal intervals: at least two of them, one of size >= 3, or one of size
+exactly 2. Each prime branch lists candidate splices of a recovered interval
+into a card, and one rule keeps the one isomorphism class whose deck is the
+input deck, turning a splice down on its degree sequence before its deck is
+built; every prime answer is its survivor's splice, built once, and checked
+on the survivor's deck. Outcomes the theory leaves open (hereditary
 orbit sets; a size-2 interval whose target orbit the theory cannot pin down)
 surface as first-class Unsupported results. Every answer about one deck lives
 in one memo, its card table: card decodes and decompositions (each carrying
@@ -455,13 +460,37 @@ def _component_keys(_: int, g: Graph) -> list[tuple[tuple[int, str], Graph]]:
 
 
 def _rebuild_from_components(n: int, graphs: list[Graph]) -> Graph:
-    items = [item for g in graphs for item in _component_keys(0, g)]
+    """The disjoint union of the components attributed to graphs, the cards
+    of a deck, checked against them card by card: two disjoint unions are
+    isomorphic exactly when their components' codes agree (Kelly), so the
+    union has the deck exactly when its cards' sorted component codes are,
+    as a multiset, those of graphs."""
+    per_card = [_component_keys(0, g) for g in graphs]
+    items = [item for keys in per_card for item in keys]
     parts = [p for _, p in _largest_first(items, n, _component_keys, "component")]
     if sum(p.n for p in parts) != n or len(parts) < 2:
         raise DeckIntegrityError("components do not assemble to the right order")
+    key_of = {id(p): key for key, p in items}  # each part is a graph pooled under its key
+    deck = Counter(tuple(sorted(key for key, _ in keys)) for keys in per_card)
+    if _union_cards([(key_of[id(p)], p) for p in parts]) != deck:
+        raise DeckIntegrityError(NOT_DECOMPOSABLE)
     # parts arrive sorted by code; a stable sort by order keeps that within an order
     parts.sort(key=lambda p: p.n)
     return disjoint_union(parts)
+
+
+def _union_cards(parts: list[tuple[tuple[int, str], Graph]]) -> Counter[tuple]:
+    """The cards of the disjoint union of the keyed parts, each as the sorted
+    keys of its components: a card deletes a vertex of one part and keeps
+    the others whole. Each distinct part's vertex deletions are coded once."""
+    held = Counter(key for key, _ in parts)
+    cards: Counter[tuple] = Counter()
+    for key, p in dict(parts).items():
+        others = list((held - Counter([key])).elements())
+        for v in range(p.n):
+            card = others + [k for k, _ in _component_keys(0, p.delete_vertex(v))]
+            cards[tuple(sorted(card))] += held[key]
+    return cards
 
 
 def _degenerate_rebuild(cards: _CardTable) -> Graph | None:
@@ -470,8 +499,10 @@ def _degenerate_rebuild(cards: _CardTable) -> Graph | None:
     degenerate graph allows.
 
     Pools components across the cards and repeatedly removes the largest
-    one together with the components attributable to it; the series case
-    goes through complementation.
+    one together with the components attributable to it, then checks the
+    union card by card on component codes (Kelly), with no deck built; the
+    series case does both on the complemented cards. A deck that attributes
+    but is no graph's deck raises DeckIntegrityError(NOT_DECOMPOSABLE).
     """
     n, graphs = cards.deck.n, cards.graphs()
     if _at_most_one(g.is_connected() for g in graphs):
@@ -488,7 +519,12 @@ def _at_most_one(tests: Iterable[bool]) -> bool:
 
 
 def reconstruct_degenerate(d: Deck) -> Graph:
-    """The unique graph with deck d, for decks of degenerate graphs."""
+    """The unique graph with deck d, for decks of degenerate graphs.
+
+    The answer is checked against d card by card on its components' codes
+    (Kelly), so a deck whose components attribute but that no graph has
+    raises DeckIntegrityError, as any other deck without a degenerate graph.
+    """
     if d.n < 3:
         raise ValueError("degenerate reconstruction needs at least three cards")
     cards = _cards(d)
@@ -584,27 +620,29 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
         g = _degenerate_rebuild(cards)
     except DeckIntegrityError as exc:
         return _unsupported(str(exc))
-    provenance = "degenerate components"
-    if g is None:
-        try:
-            k = skeleton_from_deck(d)
-            s = singleton_count(d, k)
-            m = k.n - s
-            if m >= 2:
-                g, provenance = _reconstruct_multi(cards, k)
-            elif m == 1 and d.n - s >= 3:
-                interval_single_large(d, k)  # the public step, which per-step timing wraps
-                g, provenance = cards.know(_single_large, k)[1], "single large interval splice"
-            elif m == 1 and d.n - s == 2:
-                g, provenance = _reconstruct_single_pair(cards, k)
-            else:
-                return _unsupported(NOT_DECOMPOSABLE)
-        except UnsupportedCase as exc:
-            return _unsupported(str(exc))
-        except DeckIntegrityError:
+    if g is not None:
+        # a degenerate answer is checked by the rebuild, card by card on
+        # component codes (Kelly), with no deck of it built
+        return ReconstructionResult("reconstructed", graph=g, provenance="degenerate components")
+    try:
+        k = skeleton_from_deck(d)
+        s = singleton_count(d, k)
+        m = k.n - s
+        if m >= 2:
+            g, provenance = _reconstruct_multi(cards, k)
+        elif m == 1 and d.n - s >= 3:
+            interval_single_large(d, k)  # the public step, which per-step timing wraps
+            g, provenance = cards.know(_single_large, k)[1], "single large interval splice"
+        elif m == 1 and d.n - s == 2:
+            g, provenance = _reconstruct_single_pair(cards, k)
+        else:
             return _unsupported(NOT_DECOMPOSABLE)
-    # every prime answer is its survivor's splice, whose deck the survivor
-    # rule has built already
+    except UnsupportedCase as exc:
+        return _unsupported(str(exc))
+    except DeckIntegrityError:
+        return _unsupported(NOT_DECOMPOSABLE)
+    # every prime answer is its survivor's splice, checked on the survivor's
+    # deck, which the survivor rule has built already
     if cards.ask(make_deck, g) != d:
         return _unsupported(NOT_DECOMPOSABLE)
     return ReconstructionResult("reconstructed", graph=g, provenance=provenance)

@@ -2,6 +2,7 @@ import importlib
 import random
 import weakref
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -36,7 +37,7 @@ from deckrecon import (
 )
 from deckrecon.graphs import from_graph6
 from deckrecon.modular import Kind
-from deckrecon.oracle import _open_case, enumerate_graphs
+from deckrecon.oracle import _open_case, enumerate_graphs, oracle_preimages
 
 from test_canon import circulant, matching, relabelled
 from test_graphs import random_graph
@@ -380,6 +381,63 @@ def test_reconstruct_degenerate_rejects_connected_input(c5):
         reconstruct_degenerate(make_deck(c5))
 
 
+def complemented(d):
+    return Deck(d.n, tuple(from_graph6(code).complement().to_graph6() for code in d.cards))
+
+
+def test_reconstruct_degenerate_rejects_a_forged_deck_past_attribution():
+    # the components attribute to 3K1 + K2 (D?C), whose deck is two 4K1 and
+    # three 2K1 + K2 where this one is three 4K1, one 2K1 + K2 and one 2K2:
+    # the union is checked card by card, so no graph with another deck comes back
+    forged = Deck(5, ("C?", "C?", "C?", "C@", "CK"))
+    assert oracle_preimages(forged) == []
+    for d in (forged, complemented(forged)):
+        with pytest.raises(DeckIntegrityError):
+            reconstruct_degenerate(d)
+        res = reconstruct(d)
+        assert (res.status, res.reason) == ("unsupported", rc.NOT_DECOMPOSABLE)
+
+
+def checked_with_make_deck(d, flip):
+    """The degenerate outcome of d, its cards complemented with flip, from
+    the attributed components checked with the deck of their union."""
+    graphs = [from_graph6(code) for code in d.cards]
+    graphs = [g.complement() for g in graphs] if flip else graphs
+    items = [item for g in graphs for item in rc._component_keys(0, g)]
+    try:
+        parts = [p for _, p in rc._largest_first(items, d.n, rc._component_keys, "component")]
+    except DeckIntegrityError as exc:
+        return "unsupported", None, str(exc), None
+    if sum(p.n for p in parts) != d.n or len(parts) < 2:
+        return "unsupported", None, "components do not assemble to the right order", None
+    g = disjoint_union(sorted(parts, key=lambda p: p.n))
+    g = g.complement() if flip else g
+    if make_deck(g) != d:
+        return "unsupported", None, rc.NOT_DECOMPOSABLE, None
+    return "reconstructed", "degenerate components", None, g.to_graph6()
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["parallel", "series"])
+def test_degenerate_check_matches_the_deck_of_the_union(flip):
+    # every multiset of disconnected cards on 4 and 5 vertices, and with flip
+    # every card complemented: the card-by-card check on component codes
+    # answers as the deck of the rebuilt union does
+    seen = Counter()
+    for n in (5, 6):
+        disconnected = [c for c in enumerate_graphs(n - 1) if not from_graph6(c).is_connected()]
+        for cards in combinations_with_replacement(disconnected, n):
+            d = Deck(n, cards)
+            d = complemented(d) if flip else d
+            want = checked_with_make_deck(d, flip)
+            res = reconstruct(d)
+            got = res.status, res.provenance, res.reason, res.graph and res.graph.to_graph6()
+            assert got == want, d
+            seen[want[2] or want[0]] += 1
+    rc._cards.cache_clear()
+    assert sum(seen.values()) == 126 + 18564
+    assert seen["reconstructed"] == 30 and seen[rc.NOT_DECOMPOSABLE] == 32, seen
+
+
 # -- largest-first attribution ---------------------------------------------------
 
 
@@ -514,7 +572,8 @@ def test_reconstruct_never_touches_the_oracle_by_default(monkeypatch):
 
 def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
     # every card is decomposed once, and no code is decoded twice nor a deck
-    # built twice for one labelled graph in a call, the final check included
+    # built twice for one labelled graph in a call, the final check included;
+    # a degenerate answer is checked on its components, with no deck built
     dk = importlib.import_module("deckrecon.deck")
     decomposed = []
     decoded = []
@@ -545,7 +604,8 @@ def test_reconstruct_decomposes_each_card_once(monkeypatch, c5, bull):
         for calls in (decomposed, decoded, built):
             calls.clear()
         assert_reconstructs(g, provenance)
-        assert decoded and built, provenance
+        assert decoded, provenance
+        assert bool(built) == (provenance != "degenerate components"), provenance
         again = [code for code, q in Counter(decomposed).items() if q > 1 and code in d.cards]
         assert not again, (provenance, again)
         for calls in (decoded, built):
@@ -666,7 +726,8 @@ def test_reconstruct_tests_criticality_once_per_pair_deck(monkeypatch):
 def test_splice_branches_build_one_deck_each(monkeypatch):
     # the multi, vertex-transitive and single-large branches build the deck
     # of their answer and no other deck of the graph's order; hereditary
-    # orbit sets are reported before any splice
+    # orbit sets are reported before any splice, and degenerate answers are
+    # checked on their components
     built = []
 
     def building(g):
@@ -689,9 +750,10 @@ def test_splice_branches_build_one_deck_each(monkeypatch):
         "vertex-transitive skeleton",
         "single large interval splice",
         "hereditary orbits",
+        "degenerate components",
     )
-    assert {b: decks_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 32)))
-    assert {b: builds_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 0)))
+    assert {b: decks_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 32, 506)))
+    assert {b: builds_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 0, 0)))
 
 
 def test_every_prime_answer_is_the_survivors_splice(monkeypatch):
