@@ -202,6 +202,9 @@ def _search(n: int, adj: tuple[int, ...], cells: list[list[int]]):
         for v in sorted(cells[target]):
             if tried:
                 for a in auts[joined:]:
+                    # joining every automorphism instead keeps all 274,668
+                    # classes on 9 vertices and their codes, yet only one that
+                    # fixes the prefix maps a child's subtree onto a sibling's
                     if all(a[x] == x for x in fixed):
                         _join(parent, a)
                 joined = len(auts)

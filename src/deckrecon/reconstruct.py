@@ -1,33 +1,34 @@
 """Reconstruction of decomposable graphs from their decks.
 
 A degenerate deck (of a disconnected graph or the complement of one) is
-answered by attributing the cards' components, largest first (Kelly), and the
-answer is checked card by card on component codes: two disjoint unions are
-isomorphic exactly when their components' codes agree, so no deck of the
-answer is built. Otherwise the pipeline recovers the skeleton and the
-singleton count from the deck, then splits on the shape of the non-singleton
-maximal intervals: at least two of them, one of size >= 3, or one of size
-exactly 2. Each prime branch lists candidate splices of a recovered interval
-into a card, and one rule keeps the one isomorphism class whose deck is the
-input deck, turning a splice down on its degree sequence before its deck is
-built; every prime answer is its survivor's splice, built once, and checked
-on the survivor's deck. Outcomes the theory leaves open (hereditary
-orbit sets; a size-2 interval whose target orbit the theory cannot pin down)
-surface as first-class Unsupported results. Every answer about one deck lives
-in one memo, its card table: card decodes and decompositions (each carrying
-its card's skeleton), the skeleton codes, the skeleton split, the deck's
-degree sequence, the single-large and size-2 survivors with their splices,
-canon's searches, the criticality test, and the code and deck of each
-candidate graph. Each is computed on first use and dropped with the table, so
-no question repeats within a deck and no deck is built twice. The one
-exception is a card on at most MEMO_ORDER_LIMIT (8) vertices: its decode and
-decomposition depend on its code alone, so every deck reads them from one
-process-wide memo of the MEMO_SIZE (2048) most recently used codes (about
-1,200 entries and 0.45 MB after one pass over the desk-sweep decks), and a
-card that recurs across decks is decoded and decomposed once per process. The
-public steps take the deck and look its table up once; every private step
-takes the table itself, with the deck at cards.deck. Only card codes are
-decoded; any other code is only compared.
+answered by attributing the cards' components, largest first (Kelly).
+Attribution codes each vertex deletion of each distinct part once; the
+answer's cards are read off those codes, each with the other parts' codes, and
+checked against the deck's: two disjoint unions are isomorphic exactly when
+their components' codes agree, so no deck of the answer is built. Otherwise
+the pipeline recovers the skeleton and the singleton count from the deck, then
+splits on the shape of the non-singleton maximal intervals: at least two of
+them, one of size >= 3, or one of size exactly 2. Each prime branch lists
+candidate splices of a recovered interval into a card, and one rule keeps the
+one isomorphism class whose deck is the input deck, turning a splice down on
+its degree sequence before its deck is built; every prime answer is its
+survivor's splice, built once, and checked on the survivor's deck. Outcomes
+the theory leaves open (hereditary orbit sets; a size-2 interval whose target
+orbit the theory cannot pin down) surface as first-class Unsupported results.
+Every answer about one deck lives in one memo, its card table: card decodes
+and decompositions (each carrying its card's skeleton), the skeleton codes,
+the skeleton split, the deck's degree sequence, the single-large and size-2
+survivors with their splices, canon's searches, the criticality test, and the
+code and deck of each candidate graph. Each is computed on first use and
+dropped with the table, so no question repeats within a deck and no deck is
+built twice. The one exception is a card on at most MEMO_ORDER_LIMIT (8)
+vertices: its decode and decomposition depend on its code alone, so every deck
+reads them from one process-wide memo of the MEMO_SIZE (2048) most recently
+used codes (about 1,200 entries and 0.45 MB after one pass over the desk-sweep
+decks), and a card that recurs across decks is decoded and decomposed once per
+process. The public steps take the deck and look its table up once; every
+private step takes the table itself, with the deck at cards.deck. Only card
+codes are decoded; any other code is only compared.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ NOT_DECOMPOSABLE = (
     "deck not recognised as that of a decomposable graph; "
     "reconstruction assumes decomposable input"
 )
+_Key = tuple[int, str]  # the tag and code under which attribution pools a part
 
 
 class UnsupportedCase(Exception):
@@ -248,23 +250,25 @@ def singleton_count(d: Deck, k: Graph) -> int:
 
 
 def _largest_first(
-    items: list[tuple[tuple[int, str], Graph]],
+    items: list[tuple[_Key, Graph]],
     total: int,
-    keys_of: Callable[[int, Graph], list[tuple[tuple[int, str], Graph]]],
+    keys_of: Callable[[int, Graph], list[tuple[_Key, Graph]]],
     what: str,
-) -> list[tuple[int, Graph]]:
+) -> tuple[list[tuple[_Key, Graph]], dict[_Key, list[list[_Key]]]]:
     """Kelly-style attribution of pooled ((tag, code), graph) items.
 
     A largest pooled part on p vertices of a total-vertex graph survives in
     exactly total - p cards, so its pooled count divided by total - p is its
     multiplicity. Its one-vertex-deleted subgraphs, turned into items by
     keys_of(tag, subgraph), are subtracted, and the next largest is taken.
-    Codes are only compared. Returns the recovered (tag, part) pairs sorted
-    by (tag, code), each part the first graph pooled under its key.
+    Codes are only compared. Returns (parts, cut): the recovered (key, part)
+    pairs sorted by key, each part the first graph pooled under its key, and
+    for each recovered key the keys cut from each vertex deletion of its part.
     """
     pool = Counter(key for key, _ in items)
     kept = dict(reversed(items))  # the first graph pooled under each key
-    recovered: Counter[tuple[int, str]] = Counter()
+    recovered: Counter[_Key] = Counter()
+    cut: dict[_Key, list[list[_Key]]] = {}
     while pool:
         key = max(pool, key=lambda item: (kept[item].n, item))
         part = kept[key]
@@ -274,14 +278,14 @@ def _largest_first(
             raise DeckIntegrityError(f"{what} attribution failed")
         cnt = count // denom
         recovered[key] += cnt
-        for v in range(part.n):
-            for sub_key, _ in keys_of(key[0], part.delete_vertex(v)):
-                pool[sub_key] -= cnt
-                if pool[sub_key] < 0:
-                    raise DeckIntegrityError(f"{what} attribution failed")
-                if pool[sub_key] == 0:
-                    del pool[sub_key]
-    return [(key[0], kept[key]) for key, q in sorted(recovered.items()) for _ in range(q)]
+        cut[key] = [[k for k, _ in keys_of(key[0], part.delete_vertex(v))] for v in range(part.n)]
+        for sub_key in (k for subs in cut[key] for k in subs):
+            pool[sub_key] -= cnt
+            if pool[sub_key] < 0:
+                raise DeckIntegrityError(f"{what} attribution failed")
+            if pool[sub_key] == 0:
+                del pool[sub_key]
+    return [(key, kept[key]) for key, q in sorted(recovered.items()) for _ in range(q)], cut
 
 
 # -- interval recovery: at least two non-singleton maximal intervals ----------
@@ -303,7 +307,7 @@ def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
     tagged = _orbit_tagger(cards, k)
     pooled = (tp for code in dk for tp in tagged(cards.prime(code)))
     items = [item for t, part in pooled for item in _interval_keys(t, part)]
-    out = _largest_first(items, d.n - s, _interval_keys, "interval")
+    out = [(t, p) for (t, _), p in _largest_first(items, d.n - s, _interval_keys, "interval")[0]]
     if len(out) != m or sum(p.n for _, p in out) != d.n - s:
         raise DeckIntegrityError("recovered intervals do not account for the deck")
     return out
@@ -325,7 +329,7 @@ def _orbit_tagger(
     return tagged
 
 
-def _interval_keys(t: int, sub: Graph) -> list[tuple[tuple[int, str], Graph]]:
+def _interval_keys(t: int, sub: Graph) -> list[tuple[_Key, Graph]]:
     return [((t, canonical_form(sub)), sub)] if sub.n >= 2 else []
 
 
@@ -454,7 +458,7 @@ def relaxed_skeleton_condition(k: Graph) -> bool:
 # -- degenerate graphs ---------------------------------------------------------
 
 
-def _component_keys(_: int, g: Graph) -> list[tuple[tuple[int, str], Graph]]:
+def _component_keys(_: int, g: Graph) -> list[tuple[_Key, Graph]]:
     parts = (g.induced_subgraph(comp) for comp in g.components())
     return [((0, canonical_form(p)), p) for p in parts]
 
@@ -464,33 +468,23 @@ def _rebuild_from_components(n: int, graphs: list[Graph]) -> Graph:
     of a deck, checked against them card by card: two disjoint unions are
     isomorphic exactly when their components' codes agree (Kelly), so the
     union has the deck exactly when its cards' sorted component codes are,
-    as a multiset, those of graphs."""
+    as a multiset, those of graphs. A card of the union is the other parts'
+    keys and attribution's cut of one vertex deletion, once per copy."""
     per_card = [_component_keys(0, g) for g in graphs]
     items = [item for keys in per_card for item in keys]
-    parts = [p for _, p in _largest_first(items, n, _component_keys, "component")]
-    if sum(p.n for p in parts) != n or len(parts) < 2:
+    parts, cut = _largest_first(items, n, _component_keys, "component")
+    if sum(p.n for _, p in parts) != n or len(parts) < 2:
         raise DeckIntegrityError("components do not assemble to the right order")
-    key_of = {id(p): key for key, p in items}  # each part is a graph pooled under its key
-    deck = Counter(tuple(sorted(key for key, _ in keys)) for keys in per_card)
-    if _union_cards([(key_of[id(p)], p) for p in parts]) != deck:
+    held = Counter(key for key, _ in parts)
+    union: Counter[tuple] = Counter()
+    for key, deletions in cut.items():
+        others = list((held - Counter([key])).elements())
+        for subs in deletions:
+            union[tuple(sorted(others + subs))] += held[key]
+    if union != Counter(tuple(sorted(key for key, _ in keys)) for keys in per_card):
         raise DeckIntegrityError(NOT_DECOMPOSABLE)
     # parts arrive sorted by code; a stable sort by order keeps that within an order
-    parts.sort(key=lambda p: p.n)
-    return disjoint_union(parts)
-
-
-def _union_cards(parts: list[tuple[tuple[int, str], Graph]]) -> Counter[tuple]:
-    """The cards of the disjoint union of the keyed parts, each as the sorted
-    keys of its components: a card deletes a vertex of one part and keeps
-    the others whole. Each distinct part's vertex deletions are coded once."""
-    held = Counter(key for key, _ in parts)
-    cards: Counter[tuple] = Counter()
-    for key, p in dict(parts).items():
-        others = list((held - Counter([key])).elements())
-        for v in range(p.n):
-            card = others + [k for k, _ in _component_keys(0, p.delete_vertex(v))]
-            cards[tuple(sorted(card))] += held[key]
-    return cards
+    return disjoint_union(sorted((p for _, p in parts), key=lambda p: p.n))
 
 
 def _degenerate_rebuild(cards: _CardTable) -> Graph | None:

@@ -405,7 +405,7 @@ def checked_with_make_deck(d, flip):
     graphs = [g.complement() for g in graphs] if flip else graphs
     items = [item for g in graphs for item in rc._component_keys(0, g)]
     try:
-        parts = [p for _, p in rc._largest_first(items, d.n, rc._component_keys, "component")]
+        parts = [p for _, p in rc._largest_first(items, d.n, rc._component_keys, "component")[0]]
     except DeckIntegrityError as exc:
         return "unsupported", None, str(exc), None
     if sum(p.n for p in parts) != d.n or len(parts) < 2:
@@ -497,7 +497,9 @@ def attribution_pools():
 
 def test_graph_pool_matches_the_code_pool():
     # keeping the first graph of each key recovers the parts that decoding
-    # each recovered code did, and fails where it failed, with the same message
+    # each recovered code did, and fails where it failed, with the same
+    # message; the cut holds, for each distinct recovered part, the keys of
+    # each of its vertex deletions, as coding them afresh gives them
     def attributed(fn, items, *args):
         try:
             return fn(items, *args)
@@ -512,13 +514,22 @@ def test_graph_pool_matches_the_code_pool():
             items = [item for card_items in pooled for item in card_items]
             want = attributed(code_pooled_largest_first, [k for k, _ in items], total, keys_of, what)
             got = attributed(rc._largest_first, items, total, keys_of, what)
-            if isinstance(got, list):
+            if isinstance(got, tuple):
+                parts, cut = got
                 # each part is a graph that was pooled, not a decoded code
-                assert {id(p) for _, p in got} <= {id(h) for _, h in items}
-                got = [(t, canonical_form(p)) for t, p in got]
+                assert {id(p) for _, p in parts} <= {id(h) for _, h in items}
+                assert all(key == (key[0], canonical_form(p)) for key, p in parts)
+                fresh = {
+                    key: [[k for k, _ in keys_of(key[0], p.delete_vertex(v))] for v in range(p.n)]
+                    for key, p in parts
+                }
+                assert cut == fresh, (per_card, left_out)
+                kinds[what + " cut"] += 1
+                got = [key for key, _ in parts]
             assert got == want, (per_card, left_out)
     rc._cards.cache_clear()
     assert kinds["interval"] > 100 and kinds["component"] > 1000, kinds
+    assert kinds["interval cut"] > 1000 and kinds["component cut"] > 2000, kinds
 
 
 # -- full reconstruction -----------------------------------------------------------
@@ -754,6 +765,35 @@ def test_splice_branches_build_one_deck_each(monkeypatch):
     )
     assert {b: decks_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 32, 506)))
     assert {b: builds_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 0, 0)))
+
+
+def test_degenerate_decks_delete_each_distinct_part_once(monkeypatch):
+    # attribution deletes each vertex of each distinct recovered part once,
+    # and the card-by-card check reads what it cut: no vertex is deleted twice
+    deleted_from = []
+    delete_vertex = Graph.delete_vertex
+
+    def deleting(g, v):
+        deleted_from.append(g.n)
+        return delete_vertex(g, v)
+
+    degenerate = []
+    for n in range(4, 8):
+        for code in enumerate_graphs(n):
+            g = from_graph6(code)
+            dec = decompose(g)
+            if dec.kind in (Kind.PARALLEL, Kind.SERIES):
+                orders = {canonical_form(p): p.n for p in dec.parts}.values()
+                degenerate.append((make_deck(g), sorted(k for k in orders for _ in range(k))))
+    monkeypatch.setattr(Graph, "delete_vertex", deleting)
+    for d, want in degenerate:
+        rc._cards.cache_clear()
+        deleted_from.clear()
+        assert reconstruct(d).provenance == "degenerate components"
+        assert sorted(deleted_from) == want, d
+    rc._cards.cache_clear()
+    assert len(degenerate) == 506
+    assert sum(len(want) for _, want in degenerate) == 3140
 
 
 def test_every_prime_answer_is_the_survivors_splice(monkeypatch):
