@@ -14,8 +14,10 @@ automorphisms fixing its prefix and joins each new one once. A leaf equal
 to the first leaf also sends the search back to the level where its path
 parts from the first path (McKay, "Practical graph isomorphism", 1981;
 McKay & Piperno, "Practical graph isomorphism, II", 2014). `_symmetry`
-returns the canonical order and the orbit partition of that one search,
-and `canonical_labeling` and `automorphism_orbits` are its projections.
+returns the canonical order, the orbit partition and the canonical bits of
+that one search; `canonical_labeling` and `automorphism_orbits` are its
+projections, and equal bits on one order mean isomorphic graphs, as equal
+codes do, since the code is those bits encoded.
 
 Exact up to the 64-vertex graph cap. On the empty graph the twin swaps
 leave one path of n nodes. The worst case stays exponential where
@@ -243,18 +245,19 @@ def canonical_form(g: Graph) -> str:
     return canonical_code(g.n, g.adj)
 
 
-def _symmetry(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """(canonical order, orbits) from one search: order[pos] is the vertex at
-    canonical position pos; the orbits are those of the full automorphism
-    group, each sorted, listed by smallest vertex."""
-    order, _, auts = _search(g.n, g.adj, [list(range(g.n))])
+def _symmetry(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int, ...]]:
+    """(canonical order, orbits, canonical bits) from one search: order[pos]
+    is the vertex at canonical position pos; the orbits are those of the full
+    automorphism group, each sorted, listed by smallest vertex; the bits are
+    those canonical_code encodes."""
+    order, bits, auts = _search(g.n, g.adj, [list(range(g.n))])
     parent = list(range(g.n))
     for a in auts:
         _join(parent, a)
     classes: dict[int, list[int]] = {}
     for v in range(g.n):
         classes.setdefault(_find(parent, v), []).append(v)
-    return tuple(order), list(map(tuple, classes.values()))
+    return tuple(order), list(map(tuple, classes.values())), bits
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:

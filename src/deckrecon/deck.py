@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
 
 from .canon import _symmetry, canonical_form
 from .graphs import MAX_VERTICES, Graph, from_graph6
@@ -54,30 +53,16 @@ def _trusted_deck(n: int, cards: tuple[str, ...]) -> Deck:
     return d
 
 
-def _afresh(fn: Callable[..., Any], *args: Any) -> Any:
-    """fn(*args): the ask of a caller that keeps no answers."""
-    return fn(*args)
-
-
-def _orbit_cards(
-    g: Graph, ask: Callable[..., Any] = _afresh
-) -> list[tuple[tuple[int, ...], str]]:
-    """(orbit, code of its card) for each automorphism orbit of g, from one
-    symmetry search of g. Cards of vertices in one orbit are equal, so the
-    card of the orbit's smallest vertex is coded for all of it. ask(fn, *args)
-    runs each search."""
-    return [
-        (orbit, ask(canonical_form, g.delete_vertex(orbit[0])))
-        for orbit in ask(_symmetry, g)[1]
-    ]
-
-
 def make_deck(g: Graph) -> Deck:
     """The deck of g: its n one-vertex-deleted subgraphs, as sorted codes,
-    one card code per automorphism orbit."""
+    from one symmetry search of g. Cards of vertices in one automorphism
+    orbit are equal, so the card of the orbit's smallest vertex is coded for
+    all of it."""
     if g.n < 1:
         raise ValueError("graphs with no vertices have no deck")
-    cards = [code for orbit, code in _orbit_cards(g) for _ in orbit]
+    cards: list[str] = []
+    for orbit in _symmetry(g)[1]:
+        cards += [canonical_form(g.delete_vertex(orbit[0]))] * len(orbit)
     return _trusted_deck(g.n, tuple(sorted(cards)))
 
 

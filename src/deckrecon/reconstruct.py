@@ -18,17 +18,18 @@ orbit the theory cannot pin down) surface as first-class Unsupported results.
 Every answer about one deck lives in one memo, its card table: card decodes
 and decompositions (each carrying its card's skeleton), the skeleton codes,
 the skeleton split, the deck's degree sequence, the single-large and size-2
-survivors with their splices, canon's searches, the criticality test, and the
-code and deck of each candidate graph. Each is computed on first use and
-dropped with the table, so no question repeats within a deck and no deck is
-built twice. The one exception is a card on at most MEMO_ORDER_LIMIT (8)
-vertices: its decode and decomposition depend on its code alone, so every deck
-reads them from one process-wide memo of the MEMO_SIZE (2048) most recently
-used codes (about 1,200 entries and 0.45 MB after one pass over the desk-sweep
-decks), and a card that recurs across decks is decoded and decomposed once per
-process. The public steps take the deck and look its table up once; every
-private step takes the table itself, with the deck at cards.deck. Only card
-codes are decoded; any other code is only compared.
+survivors with their splices, canon's searches (the lifting test's one per
+card among them), and the code and deck of each candidate graph. Each is
+computed on first use and dropped with the table, so no question repeats
+within a deck and no deck is built twice. The one exception is a card on at
+most MEMO_ORDER_LIMIT (8) vertices: its decode and decomposition depend on its
+code alone, so every deck reads them from one process-wide memo of the
+MEMO_SIZE (2048) most recently used codes (about 1,200 entries and 0.45 MB
+after one pass over the desk-sweep decks), and a card that recurs across decks
+is decoded and decomposed once per process. The public steps take the deck
+and look its table up once; every private step takes the table itself, with
+the deck at cards.deck. Only card codes are decoded; any other code is only
+compared.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .canon import (
     canonical_form,
     orbit_index,
 )
-from .deck import Deck, DeckIntegrityError, _afresh, _edge_count, _orbit_cards, make_deck
+from .deck import Deck, DeckIntegrityError, _edge_count, make_deck
 from .graphs import Graph, disjoint_union, from_graph6
 from .modular import (
     K2,
@@ -111,8 +112,8 @@ class _CardTable:
     """What reconstruction reads off the cards of one deck, in one memo.
 
     ask(fn, *args) computes fn(*args) on first use and keeps it for the
-    deck: canon's searches, criticality and the decks of candidate graphs
-    alike. know(fact, *args) does the same for a fact about the deck,
+    deck: canon's searches and the decks of candidate graphs alike.
+    know(fact, *args) does the same for a fact about the deck,
     fact(table, *args): the split, the size-2 survivor. Both key on
     (fn, *args), so no key holds the deck or the table: no question hashes
     the deck and no table is a reference cycle.
@@ -318,7 +319,7 @@ def _orbit_tagger(
 ) -> Callable[[ModularDecomposition], list[tuple[int, Graph]]]:
     """For a card whose quotient is k: each of its intervals, in position
     order, tagged with the k-orbit of its position."""
-    order_k, orbs = cards.ask(_symmetry, k)
+    order_k, orbs, _ = cards.ask(_symmetry, k)
     oix = orbit_index(orbs)
 
     def tagged(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
@@ -406,7 +407,7 @@ def _pair_splices(cards: _CardTable, k: Graph) -> tuple[tuple[Graph, tuple[int, 
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
     singles = [SINGLETON] * k.n
     splices = (
-        ((part, tuple(sorted(orb))), _splice(k, singles, orb[0], part))
+        ((part, orb), _splice(k, singles, orb[0], part))
         for orb in cards.ask(_symmetry, k)[1]
         for part in (K2, K2BAR)
     )
@@ -416,24 +417,27 @@ def _pair_splices(cards: _CardTable, k: Graph) -> tuple[tuple[Graph, tuple[int, 
 # -- family predicates ---------------------------------------------------------
 
 
+def _afresh(fn: Callable[..., Any], *args: Any) -> Any:
+    """fn(*args): the ask of a caller that keeps no answers."""
+    return fn(*args)
+
+
 def _lifting_vertices(g: Graph, ask: Callable[..., Any] = _afresh) -> list[int]:
     """Vertices w such that no vertex outside w's orbit has w's card, and the
     orbits of w's card lift back to orbits of g. Both hold for a whole orbit
-    or for none of it, so each orbit is tested at its smallest vertex;
-    ask(fn, *args) runs each code and symmetry search."""
-    orbit_cards = _orbit_cards(g, ask)
-    oix = orbit_index([orbit for orbit, _ in orbit_cards])
-    repeats = Counter(code for _, code in orbit_cards)
+    or for none of it, so each orbit is tested at its smallest vertex, on one
+    symmetry search of its card whose canonical bits tell isomorphic cards
+    apart; ask(fn, *args) runs each search."""
+    orbits = ask(_symmetry, g)[1]
+    oix = orbit_index(orbits)
+    cards = [ask(_symmetry, g.delete_vertex(orbit[0])) for orbit in orbits]
+    repeats = Counter(bits for _, _, bits in cards)
     out: list[int] = []
-    for orbit, code in orbit_cards:
-        if repeats[code] > 1:
+    for orbit, (_, card_orbits, bits) in zip(orbits, cards):
+        if repeats[bits] > 1:
             continue
-        w = orbit[0]
-        back = [x for x in range(g.n) if x != w]
-        if all(
-            len({oix[back[i]] for i in orb}) == 1
-            for orb in ask(_symmetry, g.delete_vertex(w))[1]
-        ):
+        back = [x for x in range(g.n) if x != orbit[0]]
+        if all(len({oix[back[i]] for i in orb}) == 1 for orb in card_orbits):
             out += orbit
     return sorted(out)
 
@@ -582,7 +586,7 @@ def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     # the splice check comes before the theory's choice, so a deck that no
     # splice gives back is not taken for an open case
     interval_single_pair(cards.deck, k)
-    if cards.ask(is_critically_indecomposable, k):
+    if is_critically_indecomposable(k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
     # with no card keeping a prime quotient on |K| - 1 vertices, the one
     # vertex whose deletion leaves K indecomposable is the inflated one

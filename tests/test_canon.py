@@ -101,6 +101,8 @@ def test_canonical_labeling_maps_onto_canonical_graph():
         g = random_graph(rng.randrange(1, 10), rng)
         lab = canonical_labeling(g)
         assert g.relabel(lab) == from_graph6(canonical_form(g))
+        # the one search's bits are those the code encodes
+        assert bits_to_graph6(g.n, _symmetry(g)[2]) == canonical_form(g)
     for _, h in symmetric_relabellings():
         assert h.relabel(canonical_labeling(h)) == from_graph6(canonical_form(h))
 
@@ -523,8 +525,8 @@ def test_disconnected_and_edge_cases():
     # 0 and 1 vertices go through the one search, with no case of their own
     assert canonical_form(empty_graph(0)) == canonical_code(0, ()) == "?"
     assert canonical_form(empty_graph(1)) == canonical_code(1, (0,)) == "@"
-    assert _symmetry(empty_graph(0)) == ((), [])
-    assert _symmetry(empty_graph(1)) == ((0,), [(0,)])
+    assert _symmetry(empty_graph(0)) == ((), [], ())
+    assert _symmetry(empty_graph(1)) == ((0,), [(0,)], ())
     assert canonical_labeling(empty_graph(1)) == (0,)
     g = disjoint_union([complete_graph(3), path_graph(3)])
     perm = [5, 3, 1, 4, 2, 0]

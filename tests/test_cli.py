@@ -138,6 +138,22 @@ def test_reconstruct_oracle_fallback(capsys, tmp_path, c5):
     assert payload["graph6"] == canonical_form(c5)
 
 
+def test_reconstruct_an_ambiguous_deck(capsys, tmp_path):
+    # two one-vertex cards: K2 and its complement both have this deck, and
+    # the oracle lists both codes
+    path = tmp_path / "two.deck"
+    path.write_text("@\n@\n")
+    argv = ("reconstruct", "--oracle-fallback", str(path))
+    assert run(capsys, *argv) == (1, "ambiguous: 2 candidates\nA?\nA_\n", "")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "candidates": ["A?", "A_"],
+        "reason": "decks with fewer than three cards are ambiguous in general",
+        "status": "ambiguous",
+    }
+
+
 def test_verify_claim(capsys):
     code, out, _ = run(capsys, "verify", "fig1-counts", "--max-n", "5", "--json")
     assert code == 0
@@ -208,6 +224,20 @@ def test_decompose_of_the_empty_graph_exits_2(capsys):
     code, _, err = run(capsys, "decompose", "?")
     assert code == 2
     assert "error:" in err
+
+
+def test_deck_of_the_empty_graph_exits_2(capsys):
+    code, out, err = run(capsys, "deck", "?")
+    assert (code, out) == (2, "")
+    assert err == "error: graphs with no vertices have no deck\n"
+
+
+def test_graph_file_of_two_lines_exits_2(capsys, tmp_path, c5):
+    path = tmp_path / "two.g6"
+    path.write_text(canonical_form(c5) + "\n" + canonical_form(c5) + "\n")
+    code, out, err = run(capsys, "decompose", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err == "error: graph file must contain exactly one graph6 line\n"
 
 
 def test_internal_value_error_exits_3(capsys, monkeypatch, c5):

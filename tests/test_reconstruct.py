@@ -698,6 +698,49 @@ def test_reconstruct_searches_each_graph_once_per_deck(monkeypatch, c5, bull):
     assert total["_edge_count"] == 416
 
 
+def test_lifting_test_searches_each_card_once(monkeypatch):
+    # one symmetry search of each card of K gives its orbits and its
+    # canonical bits, which tell isomorphic cards apart: no card the lifting
+    # test examines is searched again, for its code, in the same call
+    canon = importlib.import_module("deckrecon.canon")
+    searched = Counter()
+    skeletons = []
+
+    def searching(n, adj, cells):
+        if cells == [list(range(n))]:
+            searched[n, adj] += 1
+        return search(n, adj, cells)
+
+    def lifting(g, *args):
+        skeletons.append(g)
+        return lift(g, *args)
+
+    search, lift = canon._search, rc._lifting_vertices
+    monkeypatch.setattr(canon, "_search", searching)
+    monkeypatch.setattr(rc, "_lifting_vertices", lifting)
+    decks = examined = 0
+    for d in decomposable_decks_up_to_seven_vertices():
+        canon._small_code.cache_clear()
+        rc._small_card.cache_clear()
+        rc._cards.cache_clear()
+        searched.clear()
+        skeletons.clear()
+        reconstruct(d)
+        cards = {
+            (k.n - 1, k.delete_vertex(orbit[0]).adj)
+            for k in skeletons
+            for orbit in automorphism_orbits(k)
+        }
+        again = [card for card in cards if searched[card] > 1]
+        assert not again, (d, again)
+        decks += bool(skeletons)
+        examined += len(cards)
+    assert (decks, examined) == (202, 914)
+    canon._small_code.cache_clear()
+    rc._small_card.cache_clear()
+    rc._cards.cache_clear()
+
+
 def test_reconstruct_outcome_histogram_up_to_seven_vertices():
     got = Counter()
     for n in range(4, 8):
@@ -1086,6 +1129,25 @@ def test_reconstruct_indecomposable_decks_past_the_skeleton_checks():
     }
 
 
+def test_forged_decks_stop_at_the_branch_guards():
+    # cards of no graph that pass the skeleton and singleton checks: a
+    # skeleton-preserving card with its interval not one vertex smaller, and
+    # more recovered intervals in an orbit than it has skeleton vertices
+    single_large = Deck(8, "F?K~_ F?K~_ F?K~_ F?K~w F?Nvo F@o~g F@o~g F@o~g".split())
+    multi = Deck(7, "E?Lw E@]w E@]w E@]w E@]w EB^w EB^w".split())
+    for d in (single_large, multi):
+        assert reconstruct(d) == rc._unsupported(rc.NOT_DECOMPOSABLE)
+    k = skeleton_from_deck(single_large)
+    with pytest.raises(DeckIntegrityError, match="must shrink the interval by one"):
+        rc._single_large(rc._cards(single_large), k)
+    with pytest.raises(DeckIntegrityError, match="must shrink the interval by one"):
+        interval_single_large(single_large, k)
+    k = skeleton_from_deck(multi)
+    with pytest.raises(DeckIntegrityError, match="more intervals than skeleton vertices"):
+        rc._reconstruct_multi(rc._cards(multi), k)
+    rc._cards.cache_clear()
+
+
 def test_reconstruct_rejects_indecomposable_deck(c5):
     res = reconstruct(make_deck(c5))
     assert res.status == "unsupported"
@@ -1132,4 +1194,10 @@ def test_reconstruct_random_decomposable_graphs():
 
 def test_reconstruct_tiny_decks():
     res = reconstruct(make_deck(complete_graph(2)))
-    assert res.status == "unsupported"
+    assert res == rc._unsupported("decks with fewer than three cards are ambiguous in general")
+    # K2 and its complement share the deck of two one-vertex cards, so the
+    # oracle lists both and keeps the default result's reason
+    assert make_deck(complete_graph(2)) == Deck(2, ("@", "@"))
+    assert reconstruct(Deck(2, ("@", "@")), oracle_fallback=True) == rc.ReconstructionResult(
+        "ambiguous", candidates=("A?", "A_"), reason=res.reason
+    )
