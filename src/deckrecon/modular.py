@@ -45,7 +45,8 @@ K2BAR = Graph(2, (0, 0))
 def _closure(g: Graph, mask: int) -> int:
     """The smallest module containing mask: each splitter (an outside vertex
     that sees some, but not all, of the set) joins it as soon as it is found,
-    until a full scan adds none (Ehrenfeucht, Gabow, McConnell & Sullivan 1994)."""
+    until a full scan adds none (Ehrenfeucht, Gabow, McConnell & Sullivan 1994).
+    It serves `is_module` and the tests' reference for the maximal modules."""
     outside = [v for v in range(g.n) if not mask >> v & 1]
     while True:
         rest = []
@@ -99,33 +100,76 @@ def indecomposable_masks(g: Graph) -> list[bool]:
     return indec
 
 
+def _forced(g: Graph, reps: int, start: int, backward: bool = False) -> int:
+    """The parts of P(g, 0) that start reaches in the forcing digraph, or that
+    reach it if backward, each named by its representative's bit in reps.
+
+    y -> z iff z sees exactly one of 0 and y: then the closure of {0} and y
+    holds z. A forward row is one word, adj[0] ^ adj[y]; so is a reverse row,
+    adj[z], complemented when z sees 0.
+    """
+    adj, a0 = g.adj, g.adj[0]
+    reached = todo = start
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        r = b.bit_length() - 1
+        row = adj[r] ^ (-(a0 >> r & 1) if backward else a0)
+        new = row & reps & ~reached
+        reached |= new
+        todo |= new
+    return reached
+
+
 def maximal_proper_module_masks(g: Graph) -> list[int]:
     """The maximal proper modules, by lowest vertex; singletons included.
 
     Refining V - {0} until no vertex splits a part without it gives P(g, 0):
     no module avoiding 0 is ever split, so the parts are the maximal ones.
-    0's module takes each part whose closure with 0 falls short of V. If g is
-    connected and co-connected the other parts are the other maximal proper
-    modules; on any g with n >= 3, fewer than n masks means a proper module.
+    Each part is a module, so the closure of {0} and a part y is 0 with every
+    part that y reaches in the forcing digraph, where y -> z iff z sees
+    exactly one of 0 and y. The far parts, whose closure with 0 is V, are
+    those that reach every part; a walk finds them with a forward and a
+    reverse search per step, one step on a prime graph. Every other part
+    joins 0's module. If g is connected and co-connected the far parts are
+    the other maximal proper modules; on any other g only the count means
+    anything: for n >= 3 there are n masks iff g is indecomposable.
     """
+    adj = g.adj
     full = (1 << g.n) - 1
     parts = [full - 1] if g.n > 1 else []
+    done = []  # singletons: they cannot split, so they leave the working list
     pending = 1
-    while pending:
+    while pending and parts:
         x = (pending & -pending).bit_length() - 1
         pending ^= 1 << x
         refined = []
         for y in parts:
-            inside = g.adj[x] & y
+            inside = adj[x] & y
             if y >> x & 1 or inside in (0, y):
                 refined.append(y)
             else:  # every vertex of y now misses a part it may split
-                refined += (inside, y ^ inside)
                 pending |= y
+                for piece in (inside, y ^ inside):
+                    (refined if piece & (piece - 1) else done).append(piece)
         parts = refined
-    near = [y for y in parts if _closure(g, 1 | y & -y) != full]
-    far = sorted((y for y in parts if y not in near), key=lambda m: m & -m)
-    return [sum(near, 1)] + far
+    parts += done
+    reps = sum(y & -y for y in parts)
+    # Every far part reaches the current part. If that one reaches every part,
+    # the far parts are those that reach it; if not, any far part reaches it
+    # and is not reached from it, and each step to such a part reaches more.
+    far = 0
+    at = reps & -reps
+    while at:
+        ahead = _forced(g, reps, at)
+        behind = _forced(g, reps, at, backward=True)
+        if ahead == reps:
+            far = behind
+            break
+        at = behind & ~ahead
+        at &= -at
+    far_parts = sorted((y for y in parts if y & -y & far), key=lambda m: m & -m)
+    return [full ^ sum(far_parts) | 1] + far_parts
 
 
 def decompose(g: Graph) -> ModularDecomposition:

@@ -87,6 +87,42 @@ def pair_scan_maximal_modules(g):
     return out
 
 
+def _vertex_partition(g):
+    """P(g, 0): V - {0} refined by every vertex until no part is split."""
+    full = (1 << g.n) - 1
+    parts = [full - 1] if g.n > 1 else []
+    pending = 1
+    while pending:
+        x = (pending & -pending).bit_length() - 1
+        pending ^= 1 << x
+        refined = []
+        for y in parts:
+            inside = g.adj[x] & y
+            if y >> x & 1 or inside in (0, y):
+                refined.append(y)
+            else:
+                refined += (inside, y ^ inside)
+                pending |= y
+        parts = refined
+    return parts
+
+
+def closure_maximal_modules(g):
+    """The maximal-module search before the forcing walk, as the reference:
+    every part of P(g, 0) whose closure with 0 falls short of V joins 0's
+    module, one closure per part."""
+    full = (1 << g.n) - 1
+    parts = _vertex_partition(g)
+    near = [y for y in parts if _closure(g, 1 | y & -y) != full]
+    far = sorted((y for y in parts if y not in near), key=lambda m: m & -m)
+    return [sum(near, 1)] + far
+
+
+def _near_part_count(g):
+    full = (1 << g.n) - 1
+    return sum(_closure(g, 1 | y & -y) != full for y in _vertex_partition(g))
+
+
 def test_is_module_examples(p4, bull):
     # in P4 = 0-1-2-3 the middle pair {1,2} is not a module, the whole set is
     assert not is_module(p4, mask([1, 2]))
@@ -419,20 +455,93 @@ def test_modules_agree_with_pair_scan_past_sixteen_vertices():
             _check_against_pair_scan(shuffled(g))
 
 
-def test_modules_ask_at_most_n_minus_one_closures(monkeypatch):
+def _check_against_closures(g):
+    """Same masks as one closure per part on connected, co-connected g, and
+    the same primality verdict on every g."""
+    masks, want = maximal_proper_module_masks(g), closure_maximal_modules(g)
+    assert is_indecomposable(g) == (g.n <= 2 or len(want) == g.n), g.to_graph6()
+    if g.is_connected() and g.is_co_connected():
+        assert masks == want, g.to_graph6()
+
+
+def test_forcing_walk_matches_one_closure_per_part(monkeypatch):
+    rng = random.Random(53)
+    for n in range(1, 9):
+        for code in enumerate_graphs(n):
+            g = from_graph6(code)
+            _check_against_closures(g)
+            _check_against_closures(g.relabel(rng.sample(range(n), n)))
+    # inflations on 9-64 vertices, each relabelled twice: vertex 0 once inside
+    # a non-singleton interval, where the walk may start at a near part, and
+    # once in a singleton interval
+    calls = _count_forcing_searches(monkeypatch)
+    longest = 0
+    for i in range(120):
+        n = rng.randrange(9, 65)
+        k = rng.randrange(4, min(n, 12))
+        host = [path_graph(k), cycle_graph(max(k, 5)), random_graph(k, rng)][i % 3]
+        sizes = [1] * host.n
+        for _ in range(n - host.n):
+            sizes[rng.randrange(host.n - 1)] += 1
+        g = inflate(host, [random_graph(s, rng, rng.random()) for s in sizes])
+        blocks = [range(sum(sizes[:j]), sum(sizes[: j + 1])) for j in range(host.n)]
+        for size in (lambda s: s > 1, lambda s: s == 1):
+            u = rng.choice([v for b, s in zip(blocks, sizes) if size(s) for v in b])
+            perm = rng.sample(range(g.n), g.n)
+            w = perm.index(0)
+            perm[u], perm[w] = 0, perm[u]
+            for h in (g.relabel(perm), g.relabel(perm).complement()):
+                calls.clear()
+                _check_against_closures(h)
+                longest = max(longest, len({start for start, _ in calls}))
+    assert longest >= 3
+    for n in range(4, 65, 2):
+        for complemented in (False, True):
+            _check_against_closures(critically_indecomposable(n, complemented))
+
+
+def _count_forcing_searches(monkeypatch):
+    """Record (start, backward) of every forcing search, and fail on any
+    closure asked by the maximal-module search."""
     calls = []
+    forced = modular._forced
 
-    def counting(g, mask):
-        calls.append(mask)
-        return _closure(g, mask)
+    def counting(g, reps, start, backward=False):
+        calls.append((start, backward))
+        return forced(g, reps, start, backward)
 
-    monkeypatch.setattr(modular, "_closure", counting)
+    def no_closure(g, mask):
+        raise AssertionError("maximal_proper_module_masks asked a closure")
+
+    monkeypatch.setattr(modular, "_forced", counting)
+    monkeypatch.setattr(modular, "_closure", no_closure)
+    return calls
+
+
+def test_modules_ask_two_forcing_searches_per_walk_step(monkeypatch):
+    calls = _count_forcing_searches(monkeypatch)
+    # prime: the walk's first part reaches every part, one step
     assert is_indecomposable(critically_indecomposable(20))
-    assert len(calls) <= 19
+    assert len(calls) == 2
     calls.clear()
+    # vertex 0 inside the K3 interval: the walk starts at the near part {1, 2}
+    # and steps once to a far part (4 searches); the prime quotient takes 2
     g = inflate(cycle_graph(16), [complete_graph(3), empty_graph(4)] + [complete_graph(4)] * 14)
     assert g.n == 63 and decompose(g).kind is Kind.PRIME
-    assert len(calls) <= 62
+    assert calls == [(2, False), (2, True), (8, False), (8, True), (2, False), (2, True)]
+    # in general: a forward and a reverse search per step, from a new part each
+    # time, and every step but the last leaves a near part
+    monkeypatch.undo()
+    rng = random.Random(47)
+    for _ in range(300):
+        g = random_graph(rng.randrange(3, 20), rng, rng.random())
+        near = _near_part_count(g)
+        calls = _count_forcing_searches(monkeypatch)
+        maximal_proper_module_masks(g)
+        monkeypatch.undo()
+        starts = calls[::2]
+        assert calls == [c for s, _ in starts for c in ((s, False), (s, True))]
+        assert len(set(starts)) == len(starts) <= near + 1, g.to_graph6()
 
 
 def test_half_graphs():
