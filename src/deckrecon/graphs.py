@@ -39,9 +39,9 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1; adj[v] holds N(v) as a bitmask.
 
     Values are immutable: every operation returns a new Graph. Symmetry and
-    irreflexivity are enforced at construction time; graphs derived from a
-    valid graph (subgraphs, complements, relabellings, unions) are valid by
-    construction and skip the check.
+    irreflexivity are enforced at construction time; graphs derived from
+    valid graphs (subgraphs, complements, relabellings, unions, inflations
+    and decomposition quotients) are valid by construction and skip the check.
     """
 
     n: int
@@ -145,8 +145,8 @@ class Graph:
 
 
 def _derived(n: int, adj: tuple[int, ...]) -> Graph:
-    """A Graph built without validation, for rows that are valid by
-    construction: derived from a valid graph, or decoded from graph6."""
+    """A Graph built without validation, for rows that are valid by construction:
+    derived from valid graphs (inflations and quotients too), or decoded from graph6."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adj", adj)

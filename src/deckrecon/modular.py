@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, _bits
+from .graphs import MAX_VERTICES, Graph, _bits, _derived
 
 
 class CapabilityError(ValueError):
@@ -26,9 +26,9 @@ class ModularDecomposition:
 
     The skeleton is the graph itself (INDECOMPOSABLE, no parts), K2BAR with
     the components as parts (PARALLEL), K2 with the co-components (SERIES),
-    or the prime quotient on >= 4 vertices with the interval at skeleton
-    vertex i as parts[i] (PRIME). Only PRIME's parts are the unique
-    intervals of the skeleton.
+    or the prime quotient on >= 4 vertices: the subgraph on the parts' lowest
+    vertices in part order, with the interval at skeleton vertex i as parts[i]
+    (PRIME). Only PRIME's parts are the unique intervals of the skeleton.
     """
 
     kind: Kind
@@ -192,27 +192,20 @@ def decompose(g: Graph) -> ModularDecomposition:
         return ModularDecomposition(Kind.INDECOMPOSABLE, g)
     # The maximal proper modules partition V, and each is a module: checked
     # rather than assumed, once per vertex against its part's representative.
+    # So the quotient is the subgraph on the parts' lowest vertices, in order.
     covered = 0
+    reps = []
     for m in part_masks:
         if m & covered:
             raise RuntimeError("maximal modules of a prime-quotient graph overlap")
         covered |= m
-    k = len(part_masks)
-    reps = [(m & -m).bit_length() - 1 for m in part_masks]
-    part_of = {r: i for i, r in enumerate(reps)}
-    rep_mask = sum(1 << r for r in reps)
-    rows = []
-    for m, r in zip(part_masks, reps):
+        r = (m & -m).bit_length() - 1
         seen = g.adj[r] & ~m
-        for u in _bits(m):
-            if g.adj[u] & ~m != seen:
-                raise RuntimeError("module boundary violated between quotient parts")
-        row = 0
-        for v in _bits(seen & rep_mask):
-            row |= 1 << part_of[v]
-        rows.append(row)
-    skeleton = Graph(k, tuple(rows))
-    if k < 4 or not is_indecomposable(skeleton):
+        if any(g.adj[u] & ~m != seen for u in _bits(m)):
+            raise RuntimeError("module boundary violated between quotient parts")
+        reps.append(r)
+    skeleton = g.induced_subgraph(reps)
+    if len(reps) < 4 or not is_indecomposable(skeleton):
         raise RuntimeError("prime quotient is not an indecomposable graph on >= 4 vertices")
     intervals = tuple(
         g.induced_subgraph(_bits(m)) if m & (m - 1) else SINGLETON for m in part_masks
@@ -226,6 +219,8 @@ def inflate(k: Graph, parts: list[Graph] | tuple[Graph, ...]) -> Graph:
         raise ValueError("need one part per skeleton vertex")
     if any(p.n == 0 for p in parts):
         raise ValueError("empty inflation part")
+    if sum(p.n for p in parts) > MAX_VERTICES:
+        raise ValueError("inflation exceeds 64 vertices")
     blocks, offset = [], 0
     for p in parts:
         blocks.append(((1 << p.n) - 1) << offset)
@@ -238,7 +233,7 @@ def inflate(k: Graph, parts: list[Graph] | tuple[Graph, ...]) -> Graph:
             outside |= blocks[j]
         base = len(rows)
         rows.extend(row << base | outside for row in p.adj)
-    return Graph(len(rows), tuple(rows))
+    return _derived(len(rows), tuple(rows))
 
 
 def critically_indecomposable(n: int, complemented: bool = False) -> Graph:

@@ -231,9 +231,39 @@ def test_decompose_parts_cover_graph():
     assert sorted(p.n for p in dec2.parts) == [2, 3, 3]
 
 
+def row_built_quotient(g, part_masks):
+    """Reference: the prime quotient built row by row, each part's
+    neighbourhood mapped bit by bit to part indices, and validated."""
+    reps = [(m & -m).bit_length() - 1 for m in part_masks]
+    part_of = {r: i for i, r in enumerate(reps)}
+    rows = []
+    for m, r in zip(part_masks, reps):
+        row = 0
+        for v in _bits(g.adj[r] & ~m):
+            if v in part_of:
+                row |= 1 << part_of[v]
+        rows.append(row)
+    return Graph(len(rows), tuple(rows))
+
+
+def _check_prime_round_trip(g):
+    """On prime g: the skeleton is the row-built quotient, and inflating it
+    by the parts gives back g vertex for vertex once block i is laid onto
+    part i's vertices in increasing order; the trusted rows pass validation."""
+    dec = decompose(g)
+    assert dec.kind is Kind.PRIME, g.to_graph6()
+    part_masks = maximal_proper_module_masks(g)
+    assert dec.skeleton.adj == row_built_quotient(g, part_masks).adj, g.to_graph6()
+    rebuilt = inflate(dec.skeleton, dec.parts)
+    assert Graph(rebuilt.n, rebuilt.adj) == rebuilt
+    perm = [v for m in part_masks for v in _bits(m)]
+    assert rebuilt.relabel(perm) == g, g.to_graph6()
+
+
 def test_inflate_round_trips_decomposition():
     # unique decomposition: inflating the skeleton by the intervals returns
-    # the graph, for every prime graph up to 8 vertices
+    # the graph vertex for vertex, for prime graphs up to 8 vertices and the
+    # relabelled inflations on 9-64 vertices and their complements
     rng = random.Random(8)
     checked = 0
     for n in range(4, 9):
@@ -241,15 +271,15 @@ def test_inflate_round_trips_decomposition():
         rng.shuffle(codes)
         for code in codes[:120]:
             g = from_graph6(code)
-            dec = decompose(g)
-            if dec.kind is not Kind.PRIME:
-                continue
-            rebuilt = inflate(dec.skeleton, dec.parts)
-            assert is_isomorphic(rebuilt, g)
-            # parts listed in increasing order of their lowest original vertex,
-            # so the rebuild even matches vertex-for-vertex after sorting
-            checked += 1
+            if decompose(g).kind is Kind.PRIME:
+                _check_prime_round_trip(g)
+                checked += 1
     assert checked > 40
+    for h in relabelled_inflations(rng):
+        if decompose(h).kind is Kind.PRIME:
+            _check_prime_round_trip(h)
+            checked += 1
+    assert checked > 200
 
 
 def test_inflate_validates():
@@ -257,10 +287,10 @@ def test_inflate_validates():
         inflate(path_graph(3), [empty_graph(1)] * 2)
     with pytest.raises(ValueError):
         inflate(path_graph(2), [empty_graph(0), empty_graph(1)])
-    # the Graph it builds enforces the 64-vertex cap
+    # inflate checks the 64-vertex cap itself: its rows skip validation
     assert inflate(path_graph(2), [empty_graph(32)] * 2).n == 64
     for n in (65, 66):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds 64 vertices"):
             inflate(path_graph(2), [empty_graph(n - 32), empty_graph(32)])
 
 
@@ -464,18 +494,10 @@ def _check_against_closures(g):
         assert masks == want, g.to_graph6()
 
 
-def test_forcing_walk_matches_one_closure_per_part(monkeypatch):
-    rng = random.Random(53)
-    for n in range(1, 9):
-        for code in enumerate_graphs(n):
-            g = from_graph6(code)
-            _check_against_closures(g)
-            _check_against_closures(g.relabel(rng.sample(range(n), n)))
-    # inflations on 9-64 vertices, each relabelled twice: vertex 0 once inside
-    # a non-singleton interval, where the walk may start at a near part, and
-    # once in a singleton interval
-    calls = _count_forcing_searches(monkeypatch)
-    longest = 0
+def relabelled_inflations(rng):
+    """120 inflations on 9-64 vertices, each relabelled twice, and the
+    complement of each: vertex 0 once inside a non-singleton interval, where
+    the forcing walk may start at a near part, and once in a singleton one."""
     for i in range(120):
         n = rng.randrange(9, 65)
         k = rng.randrange(4, min(n, 12))
@@ -490,10 +512,23 @@ def test_forcing_walk_matches_one_closure_per_part(monkeypatch):
             perm = rng.sample(range(g.n), g.n)
             w = perm.index(0)
             perm[u], perm[w] = 0, perm[u]
-            for h in (g.relabel(perm), g.relabel(perm).complement()):
-                calls.clear()
-                _check_against_closures(h)
-                longest = max(longest, len({start for start, _ in calls}))
+            yield g.relabel(perm)
+            yield g.relabel(perm).complement()
+
+
+def test_forcing_walk_matches_one_closure_per_part(monkeypatch):
+    rng = random.Random(53)
+    for n in range(1, 9):
+        for code in enumerate_graphs(n):
+            g = from_graph6(code)
+            _check_against_closures(g)
+            _check_against_closures(g.relabel(rng.sample(range(n), n)))
+    calls = _count_forcing_searches(monkeypatch)
+    longest = 0
+    for h in relabelled_inflations(rng):
+        calls.clear()
+        _check_against_closures(h)
+        longest = max(longest, len({start for start, _ in calls}))
     assert longest >= 3
     for n in range(4, 65, 2):
         for complemented in (False, True):

@@ -839,6 +839,29 @@ def test_degenerate_decks_delete_each_distinct_part_once(monkeypatch):
     assert sum(len(want) for _, want in degenerate) == 3140
 
 
+def test_reconstruct_validates_no_graph_it_builds(monkeypatch):
+    # every graph reconstruct builds is a card's induced subgraph, relabelling
+    # or inflation, valid by construction: none goes through Graph's check
+    decks = list(decomposable_decks_up_to_seven_vertices())
+    decks += [make_deck(g) for g in past_twelve_shapes().values()]
+    validated = []
+    post_init = Graph.__post_init__
+
+    def validating(g):
+        validated.append(g.n)
+        post_init(g)
+
+    monkeypatch.setattr(Graph, "__post_init__", validating)
+    rc._small_card.cache_clear()
+    for d in decks:
+        rc._cards.cache_clear()
+        reconstruct(d)
+    rc._cards.cache_clear()
+    rc._small_card.cache_clear()
+    assert len(decks) == 954 + 5
+    assert validated == []
+
+
 def test_every_prime_answer_is_the_survivors_splice(monkeypatch):
     # each prime branch answers with the graph the survivor rule returned,
     # not a second build of it
