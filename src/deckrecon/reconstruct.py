@@ -8,11 +8,12 @@ checked against the deck's: two disjoint unions are isomorphic exactly when
 their components' codes agree, so no deck of the answer is built. Otherwise
 the pipeline recovers the skeleton and the singleton count from the deck, then
 splits on the shape of the non-singleton maximal intervals: at least two of
-them, one of size >= 3, or one of size exactly 2. Each prime branch lists
-candidate splices of a recovered interval into a card, and one rule keeps the
-one isomorphism class whose deck is the input deck, turning a splice down on
-its degree sequence before its deck is built; every prime answer is its
-survivor's splice, built once, and checked on the survivor's deck. Outcomes
+them, one of size >= 3, or one of size exactly 2. Each prime branch names
+(position, interval) candidates in a host, a card's decomposition or the
+skeleton with singleton parts, and one rule splices each into the host and
+keeps the one isomorphism class whose deck is the input deck, turning a splice
+down on its degree sequence before its deck is built; every prime answer is
+its survivor's splice, built once, and checked on the survivor's deck. Outcomes
 the theory leaves open (hereditary orbit sets; a size-2 interval whose target
 orbit the theory cannot pin down) surface as first-class Unsupported results.
 Every answer about one deck lives in one memo, its card table: card decodes
@@ -192,30 +193,30 @@ def _degrees(cards: _CardTable) -> list[int]:
     return sorted(total_edges - g.edge_count() for g in graphs)
 
 
-def _survivor(cards: _CardTable, splices: Iterable[tuple[Any, Graph]]) -> tuple[Any, Graph]:
-    """The (label, splice) of the first splice of the one isomorphism class
-    whose deck is the table's deck: every prime answer is its survivor's
-    splice. A splice whose degree sequence is not the deck's, or (once a
-    survivor exists) whose code is the survivor's, is turned down before its
-    deck is built; two classes or none raise."""
-    found: list[tuple[Any, Graph]] = []
-    for label, g in splices:
+def _survivor(
+    cards: _CardTable, host: ModularDecomposition, grown: Iterable[tuple[int, Graph]]
+) -> tuple[int, Graph, Graph]:
+    """The (pos, part, splice) of the first splice of the one isomorphism
+    class whose deck is the table's deck; each grown (pos, part) splices
+    part into the host in place of parts[pos], and every prime answer is
+    its survivor's splice. A splice whose degree sequence is not the deck's,
+    or (once a survivor exists) whose code is the survivor's, is turned down
+    before its deck is built; two classes or none raise."""
+    parts = host.parts
+    found: list[tuple[int, Graph, Graph]] = []
+    for pos, part in grown:
+        g = inflate(host.skeleton, parts[:pos] + (part,) + parts[pos + 1 :])
         if sorted(map(g.degree, range(g.n))) != cards.know(_degrees):
             continue
-        if found and cards.ask(canonical_form, g) == cards.ask(canonical_form, found[0][1]):
+        if found and cards.ask(canonical_form, g) == cards.ask(canonical_form, found[0][2]):
             continue
         if cards.ask(make_deck, g) == cards.deck:
-            found.append((label, g))
+            found.append((pos, part, g))
             if len(found) > 1:
                 break
     if len(found) != 1:
         raise DeckIntegrityError("no one isomorphism class of splices gives back the deck")
     return found[0]
-
-
-def _splice(k: Graph, parts: list[Graph], pos: int, part: Graph) -> Graph:
-    """k inflated by parts, with part in place of parts[pos]."""
-    return inflate(k, parts[:pos] + [part] + parts[pos + 1 :])
 
 
 def _nonsingletons(dec: ModularDecomposition) -> list[tuple[int, Graph]]:
@@ -358,11 +359,11 @@ def interval_single_large(d: Deck, k: Graph) -> Graph:
     its order, each spliced into the first skeleton-preserving card; the one
     whose splice is the one class with the deck survives.
     """
-    return _cards(d).know(_single_large, k)[0]
+    return _cards(d).know(_single_large, k)[1]
 
 
-def _single_large(cards: _CardTable, k: Graph) -> tuple[Graph, Graph]:
-    """The surviving (interval, splice) of the single large interval."""
+def _single_large(cards: _CardTable, k: Graph) -> tuple[int, Graph, Graph]:
+    """The survivor's (pos, interval, splice) of the single large interval."""
     dk, non = cards.split(k)
     size = cards.deck.n - len(non)
     if k.n - len(non) != 1 or size < 3:
@@ -379,9 +380,7 @@ def _single_large(cards: _CardTable, k: Graph) -> tuple[Graph, Graph]:
             candidates.setdefault(canonical_form(cand), cand)
     host = cards.prime(min(dk))
     [(pos, _)] = _nonsingletons(host)
-    parts = list(host.parts)
-    splices = ((c, _splice(host.skeleton, parts, pos, c)) for _, c in sorted(candidates.items()))
-    return _survivor(cards, splices)
+    return _survivor(cards, host, ((pos, c) for _, c in sorted(candidates.items())))
 
 
 # -- interval recovery: a single non-singleton interval of size 2 -------------
@@ -396,22 +395,21 @@ def interval_single_pair(d: Deck, k: Graph) -> tuple[Graph, tuple[int, ...]]:
     classes, so the one class whose deck is d names one interval and one
     orbit, and the positions are that orbit.
     """
-    return _cards(d).know(_pair_splices, k)[0]
+    cards = _cards(d)
+    pos, part, _ = cards.know(_pair_splices, k)
+    return part, next(orb for orb in cards.ask(_symmetry, k)[1] if pos in orb)
 
 
-def _pair_splices(cards: _CardTable, k: Graph) -> tuple[tuple[Graph, tuple[int, ...]], Graph]:
-    """The surviving ((interval, positions), splice) of the size-2 interval."""
+def _pair_splices(cards: _CardTable, k: Graph) -> tuple[int, Graph, Graph]:
+    """The survivor's (pos, interval, splice) of the size-2 interval: k with
+    singleton parts is the host, grown at one vertex of each orbit."""
     if cards.deck.n != k.n + 1:
         raise ValueError("expects a skeleton one vertex smaller than the graph")
     if len(cards.split(k)[0]) != 2:
         raise DeckIntegrityError("expected exactly two cards isomorphic to the skeleton")
-    singles = [SINGLETON] * k.n
-    splices = (
-        ((part, orb), _splice(k, singles, orb[0], part))
-        for orb in cards.ask(_symmetry, k)[1]
-        for part in (K2, K2BAR)
-    )
-    return _survivor(cards, splices)
+    host = ModularDecomposition(Kind.PRIME, k, (SINGLETON,) * k.n)
+    orbs = cards.ask(_symmetry, k)[1]
+    return _survivor(cards, host, ((orb[0], part) for orb in orbs for part in (K2, K2BAR)))
 
 
 # -- family predicates ---------------------------------------------------------
@@ -567,19 +565,17 @@ def _reconstruct_multi(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     provenance = "multi-interval splice" if held else "vertex-transitive skeleton"
     # every decomposable graph with the deck grows back from any one card
     host = cards.prime(min(cards.split(k)[0]))
-    _, g = _survivor(cards, ((None, g) for g in _grown_back(cards, k, host, recovered)))
-    return g, provenance
+    return _survivor(cards, host, _grown_back(cards, k, host, recovered))[2], provenance
 
 
-def _grown_back(cards: _CardTable, k: Graph, dec, recovered: list) -> Iterator[Graph]:
+def _grown_back(cards: _CardTable, k: Graph, dec, recovered: list) -> Iterator[tuple[int, Graph]]:
     """A skeleton-preserving card shows one interval shrunk by a vertex: each
-    graph that grows one of its parts back to a recovered interval of the
-    part's orbit, in position order."""
-    parts = list(dec.parts)
+    (pos, interval) that grows the part at pos back to a recovered interval
+    of the part's orbit, in position order."""
     for pos, (t, part) in enumerate(_orbit_tagger(cards, k)(dec)):
         for tag, big in dict.fromkeys(recovered):
             if tag == t and big.n == part.n + 1:
-                yield _splice(dec.skeleton, parts, pos, big)
+                yield pos, big
 
 
 def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
@@ -603,7 +599,7 @@ def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
             provenance = "size-two interval, orbit identified (relaxed)"
         else:
             raise UnsupportedCase("size-two interval with unidentifiable orbit")
-    return cards.know(_pair_splices, k)[1], provenance
+    return cards.know(_pair_splices, k)[2], provenance
 
 
 def _unsupported(reason: str) -> ReconstructionResult:
@@ -630,7 +626,7 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
             g, provenance = _reconstruct_multi(cards, k)
         elif m == 1 and d.n - s >= 3:
             interval_single_large(d, k)  # the public step, which per-step timing wraps
-            g, provenance = cards.know(_single_large, k)[1], "single large interval splice"
+            g, provenance = cards.know(_single_large, k)[2], "single large interval splice"
         elif m == 1 and d.n - s == 2:
             g, provenance = _reconstruct_single_pair(cards, k)
         else:

@@ -781,24 +781,35 @@ def test_splice_branches_build_one_deck_each(monkeypatch):
     # the multi, vertex-transitive and single-large branches build the deck
     # of their answer and no other deck of the graph's order; hereditary
     # orbit sets are reported before any splice, and degenerate answers are
-    # checked on their components
+    # checked on their components. The splices each outcome makes pin each
+    # branch's position rule, which the degree filter can hide from the
+    # deck builds
     built = []
+    spliced = []
 
     def building(g):
         built.append(g.n)
         return make_deck(g)
 
+    def splicing(k, parts):
+        spliced.append(k.n)
+        return inflate(k, parts)
+
     decks = list(decomposable_decks_up_to_seven_vertices())
     monkeypatch.setattr(rc, "make_deck", building)
+    monkeypatch.setattr(rc, "inflate", splicing)
     rc._cards.cache_clear()
     decks_of = Counter()
     builds_of = Counter()
+    splices_of = Counter()
     for d in decks:
         built.clear()
+        spliced.clear()
         res = reconstruct(d)
         outcome = res.provenance or res.reason
         decks_of[outcome] += 1
         builds_of[outcome] += built.count(d.n)
+        splices_of[outcome] += len(spliced)
     branches = (
         "multi-interval splice",
         "vertex-transitive skeleton",
@@ -808,6 +819,15 @@ def test_splice_branches_build_one_deck_each(monkeypatch):
     )
     assert {b: decks_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 32, 506)))
     assert {b: builds_of[b] for b in branches} == dict(zip(branches, (112, 6, 70, 0, 0)))
+    assert {b: splices_of[b] for b in branches} == dict(zip(branches, (203, 32, 82, 0, 0)))
+    pairs = (
+        "size-two interval at unique position",
+        "size-two interval, orbit identified",
+        "size-two interval, orbit identified (relaxed)",
+        "size-two interval with unidentifiable orbit",
+    )
+    assert {p: splices_of[p] for p in pairs} == dict(zip(pairs, (92, 44, 408, 1464)))
+    assert sum(splices_of.values()) == 203 + 32 + 82 + 92 + 44 + 408 + 1464
 
 
 def test_degenerate_decks_delete_each_distinct_part_once(monkeypatch):
@@ -864,13 +884,14 @@ def test_reconstruct_validates_no_graph_it_builds(monkeypatch):
 
 def test_every_prime_answer_is_the_survivors_splice(monkeypatch):
     # each prime branch answers with the graph the survivor rule returned,
-    # not a second build of it
+    # not a second build of it: the host with the surviving part at its
+    # position, which the public interval steps hand back
     survivor = rc._survivor
     survivors = []
 
-    def recording(cards, splices):
-        survivors.append(survivor(cards, splices))
-        return survivors[-1]
+    def recording(*args):
+        survivors.append((args[1], survivor(*args)))
+        return survivors[-1][1]
 
     monkeypatch.setattr(rc, "_survivor", recording)
     prime = Counter()
@@ -880,7 +901,18 @@ def test_every_prime_answer_is_the_survivors_splice(monkeypatch):
         res = reconstruct(d)
         if res.reconstructed and res.provenance != "degenerate components":
             assert len(survivors) == 1, d
-            assert res.graph is survivors[0][1], d
+            host, (pos, part, g) = survivors[0]
+            assert res.graph is g, d
+            parts = list(host.parts)
+            parts[pos] = part
+            assert g == inflate(host.skeleton, parts), d
+            k = skeleton_from_deck(d)
+            if res.provenance == "single large interval splice":
+                assert interval_single_large(d, k) is part, d
+            elif res.provenance.startswith("size-two"):
+                got, positions = interval_single_pair(d, k)
+                assert got is part and pos in positions, d
+                assert positions in automorphism_orbits(k), d
             prime[res.provenance] += 1
     rc._cards.cache_clear()
     assert sum(prime.values()) == 112 + 6 + 70 + 56 + 14 + 10
@@ -923,8 +955,13 @@ def test_every_skeleton_preserving_card_grows_back_the_graph():
             recovered = intervals_multi(d, k)
             cards = rc._cards(d)
             for card in dict.fromkeys(cards.split(k)[0]):
-                grown = rc._grown_back(cards, k, cards.prime(card), recovered)
-                assert canonical_form(g) in set(map(canonical_form, grown)), (code, card)
+                host = cards.prime(card)
+                grown = set()
+                for pos, interval in rc._grown_back(cards, k, host, recovered):
+                    parts = list(host.parts)
+                    parts[pos] = interval
+                    grown.add(canonical_form(inflate(host.skeleton, parts)))
+                assert canonical_form(g) in grown, (code, card)
                 cards_seen += 1
             decks += 1
     assert decks == 112 + 6 + 32
