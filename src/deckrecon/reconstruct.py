@@ -1,11 +1,12 @@
 """Reconstruction of decomposable graphs from their decks.
 
 A degenerate deck (of a disconnected graph or the complement of one) is
-answered by attributing the cards' components, largest first (Kelly).
-Attribution codes each vertex deletion of each distinct part once; the
-answer's cards are read off those codes, each with the other parts' codes, and
-checked against the deck's: two disjoint unions are isomorphic exactly when
-their components' codes agree, so no deck of the answer is built. Otherwise
+answered by attributing the cards' components, largest first (Kelly), the
+one use of attribution. Attribution codes each vertex deletion of each
+distinct part once; the answer's cards are read off those codes, each with
+the other parts' codes, and checked against the deck's: two disjoint unions
+are isomorphic exactly when their components' codes agree, so no deck of the
+answer is built. Otherwise
 the pipeline recovers the skeleton and the singleton count from the deck, then
 splits on the shape of the non-singleton maximal intervals: at least two of
 them, one of size >= 3, or one of size exactly 2. Each prime branch names
@@ -13,14 +14,15 @@ them, one of size >= 3, or one of size exactly 2. Each prime branch names
 skeleton with singleton parts, and one rule splices each into the host and
 keeps the one isomorphism class whose deck is the input deck, turning a splice
 down on its degree sequence before its deck is built; every prime answer is
-its survivor's splice, built once, and checked on the survivor's deck. Outcomes
-the theory leaves open (hereditary orbit sets; a size-2 interval whose target
+its survivor's splice, built once, and checked on the survivor's deck, and
+the theory names its provenance from the survivor's intervals. Outcomes the
+theory leaves open (hereditary orbit sets; a size-2 interval whose target
 orbit the theory cannot pin down) surface as first-class Unsupported results.
 Every answer about one deck lives in one memo, its card table: card decodes
 and decompositions (each carrying its card's skeleton), the skeleton codes,
-the skeleton split, the deck's degree sequence, the single-large and size-2
-survivors with their splices, canon's searches (the lifting test's one per
-card among them), and the code and deck of each candidate graph. Each is
+the skeleton split, the deck's degree sequence, the multi, single-large and
+size-2 survivors with their splices, canon's searches (the lifting test's one
+per card among them), and the code and deck of each candidate graph. Each is
 computed on first use and dropped with the table, so no question repeats
 within a deck and no deck is built twice. The one exception is a card on at
 most MEMO_ORDER_LIMIT (8) vertices: its decode and decomposition depend on its
@@ -39,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .canon import (
     MEMO_ORDER_LIMIT,
@@ -66,7 +68,6 @@ NOT_DECOMPOSABLE = (
     "deck not recognised as that of a decomposable graph; "
     "reconstruction assumes decomposable input"
 )
-_Key = tuple[int, str]  # the tag and code under which attribution pools a part
 
 
 class UnsupportedCase(Exception):
@@ -115,7 +116,7 @@ class _CardTable:
     ask(fn, *args) computes fn(*args) on first use and keeps it for the
     deck: canon's searches and the decks of candidate graphs alike.
     know(fact, *args) does the same for a fact about the deck,
-    fact(table, *args): the split, the size-2 survivor. Both key on
+    fact(table, *args): the split, each prime branch's survivor. Both key on
     (fn, *args), so no key holds the deck or the table: no question hashes
     the deck and no table is a reference cycle.
 
@@ -251,68 +252,47 @@ def singleton_count(d: Deck, k: Graph) -> int:
     return s
 
 
-def _largest_first(
-    items: list[tuple[_Key, Graph]],
-    total: int,
-    keys_of: Callable[[int, Graph], list[tuple[_Key, Graph]]],
-    what: str,
-) -> tuple[list[tuple[_Key, Graph]], dict[_Key, list[list[_Key]]]]:
-    """Kelly-style attribution of pooled ((tag, code), graph) items.
-
-    A largest pooled part on p vertices of a total-vertex graph survives in
-    exactly total - p cards, so its pooled count divided by total - p is its
-    multiplicity. Its one-vertex-deleted subgraphs, turned into items by
-    keys_of(tag, subgraph), are subtracted, and the next largest is taken.
-    Codes are only compared. Returns (parts, cut): the recovered (key, part)
-    pairs sorted by key, each part the first graph pooled under its key, and
-    for each recovered key the keys cut from each vertex deletion of its part.
-    """
-    pool = Counter(key for key, _ in items)
-    kept = dict(reversed(items))  # the first graph pooled under each key
-    recovered: Counter[_Key] = Counter()
-    cut: dict[_Key, list[list[_Key]]] = {}
-    while pool:
-        key = max(pool, key=lambda item: (kept[item].n, item))
-        part = kept[key]
-        denom = total - part.n
-        count = pool.pop(key)
-        if denom <= 0 or count % denom:
-            raise DeckIntegrityError(f"{what} attribution failed")
-        cnt = count // denom
-        recovered[key] += cnt
-        cut[key] = [[k for k, _ in keys_of(key[0], part.delete_vertex(v))] for v in range(part.n)]
-        for sub_key in (k for subs in cut[key] for k in subs):
-            pool[sub_key] -= cnt
-            if pool[sub_key] < 0:
-                raise DeckIntegrityError(f"{what} attribution failed")
-            if pool[sub_key] == 0:
-                del pool[sub_key]
-    return [(key, kept[key]) for key, q in sorted(recovered.items()) for _ in range(q)], cut
-
-
 # -- interval recovery: at least two non-singleton maximal intervals ----------
 
 
 def intervals_multi(d: Deck, k: Graph) -> list[tuple[int, Graph]]:
-    """Non-singleton maximal intervals tagged with the skeleton orbit they inflate.
+    """Non-singleton maximal intervals tagged with the skeleton orbit they
+    inflate, in position order.
 
-    Recovered by attributability over the cards sharing the skeleton:
-    repeatedly take a largest interval in the pooled list, divide out its
-    expected multiplicity, and subtract its own deck.
+    Every interval is whole in the card that deletes a vertex of another, so
+    the candidates are the orbit-tagged intervals of the skeleton-preserving
+    cards, pooled one per (tag, code). Each is spliced into one such card in
+    place of a part of its orbit one vertex smaller, and the intervals are
+    the parts of the one class whose splice has the deck.
     """
-    cards = _cards(d)
+    return [(t, p) for t, p in _cards(d).know(_multi, k)[1] if p.n >= 2]
+
+
+def _multi(cards: _CardTable, k: Graph) -> tuple[Graph, list[tuple[int, Graph]]]:
+    """The survivor's splice and its orbit-tagged parts, singletons included."""
     dk, non = cards.split(k)
-    s = len(non)
-    m = k.n - s
-    if m < 2:
+    if k.n - len(non) < 2:
         raise ValueError("needs at least two non-singleton maximal intervals")
     tagged = _orbit_tagger(cards, k)
-    pooled = (tp for code in dk for tp in tagged(cards.prime(code)))
-    items = [item for t, part in pooled for item in _interval_keys(t, part)]
-    out = [(t, p) for (t, _), p in _largest_first(items, d.n - s, _interval_keys, "interval")[0]]
-    if len(out) != m or sum(p.n for _, p in out) != d.n - s:
-        raise DeckIntegrityError("recovered intervals do not account for the deck")
-    return out
+    pooled: dict[tuple[int, str], Graph] = {}
+    for code in dict.fromkeys(dk):
+        for t, part in tagged(cards.prime(code)):
+            if part.n >= 2:
+                pooled.setdefault((t, canonical_form(part)), part)
+    # the host shows one interval shrunk by a vertex: each position grows
+    # back to the pooled intervals of its orbit one vertex larger
+    host = cards.prime(min(dk))
+    parts = tagged(host)
+    candidates = sorted(pooled.items())
+    grown = (
+        (pos, big)
+        for pos, (t, part) in enumerate(parts)
+        for (tag, _), big in candidates
+        if tag == t and big.n == part.n + 1
+    )
+    pos, part, g = _survivor(cards, host, grown)
+    parts[pos] = (parts[pos][0], part)
+    return g, parts
 
 
 def _orbit_tagger(
@@ -329,10 +309,6 @@ def _orbit_tagger(
         return [(oix[to_k[pos]], part) for pos, part in enumerate(dec.parts)]
 
     return tagged
-
-
-def _interval_keys(t: int, sub: Graph) -> list[tuple[_Key, Graph]]:
-    return [((t, canonical_form(sub)), sub)] if sub.n >= 2 else []
 
 
 # -- interval recovery: a single non-singleton interval of size >= 3 ----------
@@ -460,9 +436,45 @@ def relaxed_skeleton_condition(k: Graph) -> bool:
 # -- degenerate graphs ---------------------------------------------------------
 
 
-def _component_keys(_: int, g: Graph) -> list[tuple[_Key, Graph]]:
+def _component_keys(g: Graph) -> list[tuple[str, Graph]]:
     parts = (g.induced_subgraph(comp) for comp in g.components())
-    return [((0, canonical_form(p)), p) for p in parts]
+    return [(canonical_form(p), p) for p in parts]
+
+
+def _largest_first(
+    items: list[tuple[str, Graph]], total: int
+) -> tuple[list[tuple[str, Graph]], dict[str, list[list[str]]]]:
+    """Kelly's attribution of pooled (code, component) items.
+
+    A largest pooled component on p vertices of a total-vertex graph
+    survives in exactly total - p cards, so its pooled count divided by
+    total - p is its multiplicity. The components of its one-vertex-deleted
+    subgraphs are subtracted, and the next largest is taken. Codes are only
+    compared. Returns (parts, cut): the recovered (code, part) pairs sorted
+    by code, each part the first graph pooled under its code, and for each
+    recovered code the codes cut from each vertex deletion of its part.
+    """
+    pool = Counter(code for code, _ in items)
+    kept = dict(reversed(items))  # the first graph pooled under each code
+    recovered: Counter[str] = Counter()
+    cut: dict[str, list[list[str]]] = {}
+    while pool:
+        code = max(pool, key=lambda item: (kept[item].n, item))
+        part = kept[code]
+        denom = total - part.n
+        count = pool.pop(code)
+        if denom <= 0 or count % denom:
+            raise DeckIntegrityError("component attribution failed")
+        cnt = count // denom
+        recovered[code] += cnt
+        cut[code] = [[c for c, _ in _component_keys(part.delete_vertex(v))] for v in range(part.n)]
+        for sub in (c for subs in cut[code] for c in subs):
+            pool[sub] -= cnt
+            if pool[sub] < 0:
+                raise DeckIntegrityError("component attribution failed")
+            if pool[sub] == 0:
+                del pool[sub]
+    return [(code, kept[code]) for code, q in sorted(recovered.items()) for _ in range(q)], cut
 
 
 def _rebuild_from_components(n: int, graphs: list[Graph]) -> Graph:
@@ -471,19 +483,19 @@ def _rebuild_from_components(n: int, graphs: list[Graph]) -> Graph:
     isomorphic exactly when their components' codes agree (Kelly), so the
     union has the deck exactly when its cards' sorted component codes are,
     as a multiset, those of graphs. A card of the union is the other parts'
-    keys and attribution's cut of one vertex deletion, once per copy."""
-    per_card = [_component_keys(0, g) for g in graphs]
+    codes and attribution's cut of one vertex deletion, once per copy."""
+    per_card = [_component_keys(g) for g in graphs]
     items = [item for keys in per_card for item in keys]
-    parts, cut = _largest_first(items, n, _component_keys, "component")
+    parts, cut = _largest_first(items, n)
     if sum(p.n for _, p in parts) != n or len(parts) < 2:
         raise DeckIntegrityError("components do not assemble to the right order")
-    held = Counter(key for key, _ in parts)
+    held = Counter(code for code, _ in parts)
     union: Counter[tuple] = Counter()
-    for key, deletions in cut.items():
-        others = list((held - Counter([key])).elements())
+    for code, deletions in cut.items():
+        others = list((held - Counter([code])).elements())
         for subs in deletions:
-            union[tuple(sorted(others + subs))] += held[key]
-    if union != Counter(tuple(sorted(key for key, _ in keys)) for keys in per_card):
+            union[tuple(sorted(others + subs))] += held[code]
+    if union != Counter(tuple(sorted(code for code, _ in keys)) for keys in per_card):
         raise DeckIntegrityError(NOT_DECOMPOSABLE)
     # parts arrive sorted by code; a stable sort by order keeps that within an order
     return disjoint_union(sorted((p for _, p in parts), key=lambda p: p.n))
@@ -550,38 +562,19 @@ def _splice_condition(tagged: list[tuple[int, Graph]]) -> bool:
 
 
 def _reconstruct_multi(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
-    recovered = intervals_multi(cards.deck, k)
-    orbs = cards.ask(_symmetry, k)[1]
-    tagged = list(recovered)
-    nonsingle_at = Counter(t for t, _ in recovered)
-    for t, orb in enumerate(orbs):
-        extra = len(orb) - nonsingle_at[t]
-        if extra < 0:
-            raise DeckIntegrityError("more intervals than skeleton vertices in an orbit")
-        tagged += [(t, SINGLETON)] * extra
+    # the splice check comes before the theory's choice, so a deck that no
+    # splice gives back is not taken for an open case
+    g, tagged = cards.know(_multi, k)
     held = _splice_condition(tagged)
-    if not held and len(orbs) > 1:
+    if not held and len(cards.ask(_symmetry, k)[1]) > 1:
         raise UnsupportedCase("hereditary orbits")
-    provenance = "multi-interval splice" if held else "vertex-transitive skeleton"
-    # every decomposable graph with the deck grows back from any one card
-    host = cards.prime(min(cards.split(k)[0]))
-    return _survivor(cards, host, _grown_back(cards, k, host, recovered))[2], provenance
-
-
-def _grown_back(cards: _CardTable, k: Graph, dec, recovered: list) -> Iterator[tuple[int, Graph]]:
-    """A skeleton-preserving card shows one interval shrunk by a vertex: each
-    (pos, interval) that grows the part at pos back to a recovered interval
-    of the part's orbit, in position order."""
-    for pos, (t, part) in enumerate(_orbit_tagger(cards, k)(dec)):
-        for tag, big in dict.fromkeys(recovered):
-            if tag == t and big.n == part.n + 1:
-                yield pos, big
+    return g, "multi-interval splice" if held else "vertex-transitive skeleton"
 
 
 def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
     # the splice check comes before the theory's choice, so a deck that no
     # splice gives back is not taken for an open case
-    interval_single_pair(cards.deck, k)
+    g = cards.know(_pair_splices, k)[2]
     if is_critically_indecomposable(k):
         raise UnsupportedCase("size-two interval with unidentifiable orbit")
     # with no card keeping a prime quotient on |K| - 1 vertices, the one
@@ -599,7 +592,7 @@ def _reconstruct_single_pair(cards: _CardTable, k: Graph) -> tuple[Graph, str]:
             provenance = "size-two interval, orbit identified (relaxed)"
         else:
             raise UnsupportedCase("size-two interval with unidentifiable orbit")
-    return cards.know(_pair_splices, k)[2], provenance
+    return g, provenance
 
 
 def _unsupported(reason: str) -> ReconstructionResult:
@@ -625,7 +618,6 @@ def _reconstruct_core(d: Deck) -> ReconstructionResult:
         if m >= 2:
             g, provenance = _reconstruct_multi(cards, k)
         elif m == 1 and d.n - s >= 3:
-            interval_single_large(d, k)  # the public step, which per-step timing wraps
             g, provenance = cards.know(_single_large, k)[2], "single large interval splice"
         elif m == 1 and d.n - s == 2:
             g, provenance = _reconstruct_single_pair(cards, k)

@@ -36,7 +36,7 @@ from deckrecon import (
 )
 from deckrecon.oracle import enumerate_graphs
 
-PIN = "1d39af356e1c6bb695db19b3d6651adf02d6f892e596910adfaf91a1d473fc1d"
+PIN = "3216d5640f912b3f86a7ca95ddbb81a8eb17cba6bedff83a42ec50b5c30feba9"
 
 PAST_EIGHT = 240
 
